@@ -168,6 +168,7 @@ def _cmd_discover(args) -> int:
         results = {"ods": [_od_record(od, names) for od in sorted(found, key=_od_sort_key)]}
         results["od_count"] = len(found)
         results["stats"] = None
+        over = ""
     else:
         run = discover_unpruned(rel, args.max_level) if args.no_prune else discover(rel, args.max_level)
         results = {
@@ -186,6 +187,7 @@ def _cmd_discover(args) -> int:
             "levels_processed": run.levels_processed,
             "exhausted": run.exhausted,
         }
+        over = f" over {run.distinct_rows} distinct of {rel.row_count} rows"
     elapsed = time.perf_counter() - started
     report = RunReport("discover", fingerprint, flags, results)
     if args.format == "json":
@@ -193,7 +195,7 @@ def _cmd_discover(args) -> int:
     else:
         for rec in results["ods"]:
             sys.stdout.write(rec["text"] + "\n")
-    print(f"discover: {results['od_count']} dependencies in {elapsed:.3f}s", file=sys.stderr)
+    print(f"discover: {results['od_count']} dependencies{over} in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 

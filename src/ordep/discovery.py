@@ -19,6 +19,28 @@ Validating a constant candidate needs the parent's partition, and a
 pair candidate the grandparent's, so partitions are kept for a trailing
 window of two levels and dropped afterwards.  New partitions come from
 the linear-time product of the two parents that generated the node.
+
+Only distinct rows enter the lattice.  Both canonical forms are defined
+on pairs of rows: a split is a pair that agrees on the context and
+differs on A, a swap a pair that agrees on the context and orders A and
+B oppositely.  Two identical rows agree on every attribute, so they are
+neither, and a pair that uses a dropped copy has the same values as the
+pair that uses the kept row instead, which remains.  A dependency is
+therefore valid on the table exactly when it is valid on its distinct
+rows, and since minimality is defined through validity alone, so is
+being minimal.  The traversal reads the data only through those
+validity answers and the superkey shortcut.  The shortcut answers a
+constant over a superkey context with "valid", which is the true answer
+on either row set.  An order compatibility over a superkey context
+never reaches the shortcut: every constant over that context is valid,
+so its attributes have already left the candidate sets the pair test
+reads.  The candidate sets, the surviving nodes and the emitted
+sequence are thus identical on both row sets; only the work done
+differs, including which contexts the statistics count as keys.
+Dropping rows never drops a value, so the rank columns stay dense.  The
+stop rule for relations of at most one row reads the input's row count,
+so `levels_processed` and `exhausted` do not depend on the duplicates
+either.
 """
 
 from __future__ import annotations
@@ -36,6 +58,7 @@ from .partitions import (
     product,
     sorted_partition,
 )
+from .relation import Relation
 
 
 @dataclass
@@ -78,13 +101,15 @@ class DiscoveryStats:
 class DiscoveryResult:
     """Every minimal canonical dependency with at most max_level
     attributes overall (context plus checked attributes), in a
-    deterministic emission order, plus traversal statistics."""
+    deterministic emission order, plus traversal statistics and the
+    number of distinct rows the traversal ran over."""
 
     ods: tuple
     stats: DiscoveryStats
     levels_processed: int
     max_level: int
     exhausted: bool
+    distinct_rows: int
 
 
 class _Node:
@@ -112,7 +137,19 @@ def _sorted_attrs(attrs):
     return tuple(sorted(attrs))
 
 
+def _distinct_rows(rel):
+    """rel restricted to the first occurrence of each rank row, or rel
+    itself when its rows are already distinct.  The result carries rank
+    columns only: the lattice never reads raw values."""
+    rows = dict.fromkeys(zip(*rel.columns))
+    if len(rows) == rel.row_count:
+        return rel
+    return Relation(rel.schema, len(rows), tuple(zip(*rows)))
+
+
 def _run(rel, max_level, prune: bool) -> DiscoveryResult:
+    input_rows = rel.row_count
+    rel = _distinct_rows(rel)
     n_attrs = rel.attr_count
     cap = n_attrs if max_level is None else max(1, min(max_level, n_attrs))
     cols = rel.columns
@@ -200,8 +237,8 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                 del nodes[X]
             stats.nodes_pruned = len(dead)
 
-        if rel.row_count <= 1 or level >= cap:
-            exhausted = rel.row_count <= 1 or not _next_level_keys(nodes)
+        if input_rows <= 1 or level >= cap:
+            exhausted = input_rows <= 1 or not _next_level_keys(nodes)
             break
         grandparents = parents
         parents = nodes
@@ -214,6 +251,7 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
         levels_processed=level_stats[-1].level if level_stats else 0,
         max_level=cap,
         exhausted=exhausted,
+        distinct_rows=rel.row_count,
     )
 
 
@@ -246,7 +284,7 @@ def _next_level(level_nodes):
     last_labels = None
     for left, right, candidate in _next_level_keys(level_nodes):
         p = level_nodes[left].partition
-        if left is not last_left:
+        if left != last_left:
             last_left = left
             last_labels = class_labels(p)
         part = product(p, level_nodes[right].partition, last_labels)

@@ -74,6 +74,19 @@ def test_discover_no_prune_and_oracle_agree(capsys, taxes_csv, taxes_schema_file
     assert brute == capped
 
 
+def test_discover_with_duplicate_rows_reports_the_file(capsys, tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b\n1,2\n1,2\n2,3\n1,2\n")
+    base = ["discover", "--input", str(path), "--infer-schema", "--format", "json"]
+    code, out, err = run(capsys, *base)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["rows"] == 4
+    assert "over 2 distinct of 4 rows" in err
+    _, brute, _ = run(capsys, *base, "--oracle")
+    assert doc["ods"] == json.loads(brute)["ods"]
+
+
 def test_validate_list_od_valid(capsys, taxes_csv, taxes_schema_file):
     code, out, _ = run(
         capsys,

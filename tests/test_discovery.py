@@ -1,5 +1,6 @@
 import random
 
+from ordep import discovery, partitions
 from ordep import (
     ConstantOD,
     OracleConfig,
@@ -154,3 +155,79 @@ def test_discovered_set_is_exactly_the_minimal_valid_ones():
                 assert is_minimal_constant(rel, od.context, od.attr)
             else:
                 assert is_minimal_oc(rel, od.context, od.a, od.b)
+
+
+def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
+    # Unpruned, all 2^5 nodes exist.  A product at level l+1 takes its
+    # left operand from a level-l node whose last attribute is not the
+    # largest, so labels are built C(4, l) times against C(5, l+1)
+    # products.
+    labelled = []
+    products = []
+
+    def counting_labels(p):
+        labelled.append(p)
+        return partitions.class_labels(p)
+
+    def checked_product(p, q, p_labels=None):
+        out = partitions.product(p, q, p_labels)
+        assert out == partitions.product(p, q)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(discovery, "class_labels", counting_labels)
+    monkeypatch.setattr(discovery, "product", checked_product)
+    rel = int_relation([1, 1, 2, 2], [1, 2, 1, 2], [3, 3, 3, 4], [1, 1, 1, 1], [2, 1, 2, 1])
+    res = discover_unpruned(rel)
+    assert len(products) == 10 + 10 + 5 + 1
+    assert len(labelled) == 4 + 6 + 4 + 1
+    monkeypatch.undo()
+    assert res.ods == discover_unpruned(rel).ods
+
+
+def _with_duplicates(rng, rel):
+    """rel's rows, each repeated 1-3 times, shuffled."""
+    rows = [row for row in zip(*rel.raw_columns) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    return Relation.from_rows(rel.schema, rows)
+
+
+def _duplicate_row_cases():
+    rng = random.Random(61)
+    one = Schema((("a0", "integer"),))
+    two = Schema((("a0", "integer"), ("a1", "text")), "nulls_last")
+    three = Schema((("a0", "integer"), ("a1", "integer"), ("a2", "float")))
+    yield Relation.from_rows(two, [])
+    yield Relation.from_rows(two, [(1, "x")])
+    yield Relation.from_rows(three, [(4, 9, 0.5)] * 4)
+    yield Relation.from_rows(one, [(3,), (1,), (3,), (2,), (1,)])
+    yield Relation.from_rows(two, [(None, "x"), (2, None), (None, "x"), (1, "y"), (2, None)])
+    for i in range(40):
+        base = random_relation(rng, max_attrs=5, max_rows=10, with_nulls=i % 2 == 1)
+        yield _with_duplicates(rng, base)
+
+
+def test_duplicate_rows_do_not_change_discovery(monkeypatch):
+    rng = random.Random(67)
+    for rel in _duplicate_row_cases():
+        before = (rel.row_count, rel.columns, rel.raw_columns)
+        distinct = Relation.from_rows(rel.schema, list(dict.fromkeys(zip(*rel.raw_columns))))
+        for max_level in (None, rng.randint(1, rel.attr_count)):
+            brute = brute_discover(rel, OracleConfig(max_level=max_level, check_budget=10_000_000))
+            for run in (discover, discover_unpruned):
+                res = run(rel, max_level)
+                assert res.distinct_rows == distinct.row_count
+                assert res.ods == run(distinct, max_level).ods
+                # The lattice over every row, duplicates included.
+                with monkeypatch.context() as m:
+                    m.setattr(discovery, "_distinct_rows", lambda r: r)
+                    every_row = run(rel, max_level)
+                assert res.ods == every_row.ods
+                assert res.exhausted == every_row.exhausted
+                assert res.levels_processed == every_row.levels_processed
+                # A one-row relation stops after level 1 with exhausted
+                # set, so only uncapped runs agree with the distinct table.
+                if max_level is None:
+                    assert res.exhausted == run(distinct).exhausted
+                assert set(res.ods) == set(brute)
+        assert (rel.row_count, rel.columns, rel.raw_columns) == before
