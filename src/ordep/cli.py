@@ -26,6 +26,8 @@ from .odmodel import (
     format_od,
     map_list_to_canonical,
     map_od_attrs,
+    od_level,
+    od_sort_key,
     parse_canonical_parts,
     parse_od,
     satisfies_list_od,
@@ -120,19 +122,6 @@ def _load_relation(args):
     return rel, fingerprint
 
 
-def _od_level(od) -> int:
-    return len(od.context) + (1 if isinstance(od, ConstantOD) else 2)
-
-
-def _od_sort_key(od):
-    return (
-        _od_level(od),
-        tuple(sorted(od.context)),
-        0 if isinstance(od, ConstantOD) else 1,
-        (od.attr,) if isinstance(od, ConstantOD) else (od.a, od.b),
-    )
-
-
 def _od_record(od, names) -> dict:
     rec = {"kind": "constant" if isinstance(od, ConstantOD) else "order_compatible"}
     rec["context"] = [names[a] for a in sorted(od.context)]
@@ -141,7 +130,7 @@ def _od_record(od, names) -> dict:
     else:
         rec["a"] = names[od.a]
         rec["b"] = names[od.b]
-    rec["level"] = _od_level(od)
+    rec["level"] = od_level(od)
     rec["text"] = format_od(od, names)
     return rec
 
@@ -165,14 +154,14 @@ def _cmd_discover(args) -> int:
     started = time.perf_counter()
     if args.oracle:
         found = brute_discover(rel, OracleConfig(max_level=args.max_level))
-        results = {"ods": [_od_record(od, names) for od in sorted(found, key=_od_sort_key)]}
+        results = {"ods": [_od_record(od, names) for od in sorted(found, key=od_sort_key)]}
         results["od_count"] = len(found)
         results["stats"] = None
-        over = ""
+        work = ""
     else:
         run = discover_unpruned(rel, args.max_level) if args.no_prune else discover(rel, args.max_level)
         results = {
-            "ods": [_od_record(od, names) for od in sorted(run.ods, key=_od_sort_key)]
+            "ods": [_od_record(od, names) for od in sorted(run.ods, key=od_sort_key)]
         }
         results["od_count"] = len(run.ods)
         results["stats"] = {
@@ -187,7 +176,10 @@ def _cmd_discover(args) -> int:
             "levels_processed": run.levels_processed,
             "exhausted": run.exhausted,
         }
-        over = f" over {run.distinct_rows} distinct of {rel.row_count} rows"
+        work = (
+            f" over {run.distinct_rows} distinct of {rel.row_count} rows,"
+            f" {run.partitions_built} partitions built"
+        )
     elapsed = time.perf_counter() - started
     report = RunReport("discover", fingerprint, flags, results)
     if args.format == "json":
@@ -195,7 +187,7 @@ def _cmd_discover(args) -> int:
     else:
         for rec in results["ods"]:
             sys.stdout.write(rec["text"] + "\n")
-    print(f"discover: {results['od_count']} dependencies{over} in {elapsed:.3f}s", file=sys.stderr)
+    print(f"discover: {results['od_count']} dependencies{work} in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 

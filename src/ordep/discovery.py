@@ -1,12 +1,14 @@
 """Level-wise lattice discovery of all minimal canonical dependencies.
 
-The lattice of attribute sets is walked bottom-up.  A node X of size l
+The lattice of attribute sets is walked bottom-up.  An attribute set
+is an int bitmask, bit a standing for attribute a.  A node X of size l
 carries the stripped partition over X plus two candidate sets:
 
-* const_cands: attributes A for which `X minus A: [] |-> A` might still
-  be minimal (kept over the full schema, not just X, because a valid
-  constant dependency also rules out every attribute outside X);
-* oc_cands: unordered pairs {A,B} from X for which the compatibility
+* const_cands: a bitmask of the attributes A for which
+  `X minus A: [] |-> A` might still be minimal (kept over the full
+  schema, not just X, because a valid constant dependency also rules
+  out every attribute outside X);
+* oc_cands: pairs (A, B) with A < B from X for which the compatibility
   `X minus {A,B}: A ~ B` might still be minimal.
 
 Candidate sets shrink monotonically along the lattice: a node inherits
@@ -15,10 +17,25 @@ so work already ruled out below is never redone.  A node whose
 candidate sets are both empty can be deleted along with every superset,
 which provably removes no minimal dependency.
 
-Validating a constant candidate needs the parent's partition, and a
-pair candidate the grandparent's, so partitions are kept for a trailing
-window of two levels and dropped afterwards.  New partitions come from
-the linear-time product of the two parents that generated the node.
+Partitions are built on demand.  A node above level 1 is generated by
+two nodes one level down that share all but their last attribute, and
+its partition is the product of theirs.  The node keeps the two
+generators instead of that product and takes it the first time the
+partition is read: by a constant check or superkey test over X, made at
+a node one level up; by an order compatibility check over X, made two
+levels up; or by the product of a node X generated.  It then drops the
+generators, so ancestors nothing else holds are freed.  Most nodes only
+ever feed candidate sets, so most products are never taken.  A left
+generator labels its rows once and keeps the labels for all its
+products.
+
+The order in which products are forced cannot change any answer.  The
+stripped partition of an attribute set is unique: the groups of at
+least two rows that agree on the set, each ascending, ordered by first
+row, which is the form `product` returns.  Whenever and through
+whichever node it is built, a check reads the partition an eager
+traversal would have read, so every check, superkey test and emitted
+dependency is the same; only the number of products taken differs.
 
 Only distinct rows enter the lattice.  Both canonical forms are defined
 on pairs of rows: a split is a pair that agrees on the context and
@@ -45,8 +62,8 @@ either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, groupby
 
 from .odmodel import ConstantOD, OrderCompatOD
 from .partitions import (
@@ -101,8 +118,9 @@ class DiscoveryStats:
 class DiscoveryResult:
     """Every minimal canonical dependency with at most max_level
     attributes overall (context plus checked attributes), in a
-    deterministic emission order, plus traversal statistics and the
-    number of distinct rows the traversal ran over."""
+    deterministic emission order, plus traversal statistics, the
+    number of distinct rows the traversal ran over, and the number of
+    partition products it took."""
 
     ods: tuple
     stats: DiscoveryStats
@@ -110,15 +128,24 @@ class DiscoveryResult:
     max_level: int
     exhausted: bool
     distinct_rows: int
+    partitions_built: int
 
 
 class _Node:
-    __slots__ = ("attrs", "partition", "const_cands", "oc_cands")
+    """A lattice node over the attribute set `mask`, whose set bits are
+    `members` in ascending order.  Until its partition is read it holds
+    None there and the (left, right) nodes that generated it; `labels`
+    caches the partition's row labels once the node is a left operand."""
 
-    def __init__(self, attrs, partition):
-        self.attrs = attrs
+    __slots__ = ("mask", "members", "partition", "generators", "labels", "const_cands", "oc_cands")
+
+    def __init__(self, mask, members, partition=None, generators=None):
+        self.mask = mask
+        self.members = members
         self.partition = partition
-        self.const_cands = set()
+        self.generators = generators
+        self.labels = None
+        self.const_cands = 0
         self.oc_cands = set()
 
 
@@ -131,10 +158,6 @@ def discover_unpruned(rel, max_level: int | None = None) -> DiscoveryResult:
     """Same result as discover(), with node deletion and superkey
     shortcuts disabled; only the statistics differ."""
     return _run(rel, max_level, prune=False)
-
-
-def _sorted_attrs(attrs):
-    return tuple(sorted(attrs))
 
 
 def _distinct_rows(rel):
@@ -154,50 +177,60 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
     cap = n_attrs if max_level is None else max(1, min(max_level, n_attrs))
     cols = rel.columns
     taus = [sorted_partition(rel, a) for a in range(n_attrs)]
-    all_attrs = frozenset(range(n_attrs))
+    built = 0
+
+    def partition(node):
+        nonlocal built
+        part = node.partition
+        if part is None:
+            left, right = node.generators
+            if left.labels is None:
+                left.labels = class_labels(partition(left))
+            part = node.partition = product(partition(left), partition(right), left.labels)
+            node.generators = None
+            built += 1
+        return part
 
     ods = []
     level_stats: list[LevelStats] = []
 
-    root = _Node(frozenset(), empty_context_partition(rel))
-    root.const_cands = set(range(n_attrs))
-    grandparents: dict[frozenset, _Node] = {}
-    parents: dict[frozenset, _Node] = {root.attrs: root}
-    nodes: dict[frozenset, _Node] = {
-        frozenset({a}): _Node(frozenset({a}), partition_single(rel, a)) for a in range(n_attrs)
-    }
+    root = _Node(0, (), empty_context_partition(rel))
+    root.const_cands = (1 << n_attrs) - 1
+    grandparents: dict[int, _Node] = {}
+    parents: dict[int, _Node] = {0: root}
+    order = [_Node(1 << a, (a,), partition_single(rel, a)) for a in range(n_attrs)]
 
     level = 1
     exhausted = True
-    while nodes:
-        stats = LevelStats(level=level, nodes_generated=len(nodes))
+    while order:
+        stats = LevelStats(level=level, nodes_generated=len(order))
         level_stats.append(stats)
-        order = sorted(nodes, key=_sorted_attrs)
 
-        # First pass: derive candidate sets from the parents.
-        for X in order:
-            node = nodes[X]
-            inherited = None
-            for a in X:
-                pc = parents[X - {a}].const_cands
-                inherited = set(pc) if inherited is None else inherited & pc
-            node.const_cands = inherited
+        for node in order:
+            X = node.mask
+            # Candidates left over from the parents.
+            const_cands = -1
+            for a in node.members:
+                const_cands &= parents[X ^ (1 << a)].const_cands
             if level == 2:
-                node.oc_cands = {X}
+                node.oc_cands = {node.members}
             elif level > 2:
-                pool = set()
-                for c in X:
-                    pool |= parents[X - {c}].oc_cands
-                node.oc_cands = {
-                    pair for pair in pool if all(pair in parents[X - {d}].oc_cands for d in X - pair)
-                }
+                # A pair can only be a candidate of the l-2 parents
+                # that hold both its attributes, so it is one in all of
+                # them exactly when it is seen l-2 times.
+                seen: dict[tuple, int] = {}
+                for a in node.members:
+                    for pair in parents[X ^ (1 << a)].oc_cands:
+                        seen[pair] = seen.get(pair, 0) + 1
+                node.oc_cands = {pair for pair, n in seen.items() if n == level - 2}
 
-        # Second pass: validate surviving candidates.
-        for X in order:
-            node = nodes[X]
-            for a in sorted(X & node.const_cands):
-                ctx = X - {a}
-                part = parents[ctx].partition
+            # Validate the surviving candidates.
+            for a in node.members:
+                bit = 1 << a
+                if not const_cands & bit:
+                    continue
+                ctx = parents[X ^ bit]
+                part = partition(ctx)
                 if prune and part.is_superkey():
                     stats.keys_found += 1
                     valid = True
@@ -205,44 +238,45 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                     stats.constant_checks += 1
                     valid = check_constant(part, cols[a])
                 if valid:
-                    ods.append(ConstantOD(ctx, a))
+                    ods.append(ConstantOD(frozenset(ctx.members), a))
                     stats.ods_found += 1
-                    node.const_cands.discard(a)
-                    node.const_cands -= all_attrs - X
-            for pair in sorted(node.oc_cands, key=_sorted_attrs):
-                a, b = sorted(pair)
-                if (
-                    a not in parents[X - {b}].const_cands
-                    or b not in parents[X - {a}].const_cands
-                ):
-                    node.oc_cands.discard(pair)
+                    const_cands &= X ^ bit
+            node.const_cands = const_cands
+            oc_cands = node.oc_cands
+            for a, b in sorted(oc_cands):
+                bit_a, bit_b = 1 << a, 1 << b
+                if not (parents[X ^ bit_b].const_cands & bit_a and parents[X ^ bit_a].const_cands & bit_b):
+                    oc_cands.discard((a, b))
                     continue
-                ctx = X - pair
-                part = grandparents[ctx].partition if level > 2 else root.partition
+                ctx = grandparents[X ^ bit_a ^ bit_b]
+                part = partition(ctx)
                 if prune and part.is_superkey():
                     # Valid over a superkey context, but never minimal.
                     stats.keys_found += 1
-                    node.oc_cands.discard(pair)
+                    oc_cands.discard((a, b))
                     continue
                 stats.swap_checks += 1
                 if check_order_compatible(part, taus[a], cols[b]):
-                    ods.append(OrderCompatOD(ctx, a, b))
+                    ods.append(OrderCompatOD(frozenset(ctx.members), a, b))
                     stats.ods_found += 1
-                    node.oc_cands.discard(pair)
+                    oc_cands.discard((a, b))
 
-        # Third pass: drop nodes that can no longer contribute.
+        # Drop nodes that can no longer contribute.
         if prune and level >= 2:
-            dead = [X for X, node in nodes.items() if not node.const_cands and not node.oc_cands]
-            for X in dead:
-                del nodes[X]
-            stats.nodes_pruned = len(dead)
+            alive = [node for node in order if node.const_cands or node.oc_cands]
+            stats.nodes_pruned = len(order) - len(alive)
+            order = alive
+        nodes = {node.mask: node for node in order}
 
         if input_rows <= 1 or level >= cap:
-            exhausted = input_rows <= 1 or not _next_level_keys(nodes)
+            exhausted = input_rows <= 1 or next(_joins(order, nodes), None) is None
             break
         grandparents = parents
         parents = nodes
-        nodes = _next_level(parents)
+        order = [
+            _Node(left.mask | right.mask, left.members + right.members[-1:], generators=(left, right))
+            for left, right in _joins(order, nodes)
+        ]
         level += 1
 
     return DiscoveryResult(
@@ -252,41 +286,18 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
         max_level=cap,
         exhausted=exhausted,
         distinct_rows=rel.row_count,
+        partitions_built=built,
     )
 
 
-def _prefix_blocks(level_nodes):
-    """Group node keys by their sorted (l-1)-prefix."""
-    blocks: dict[tuple, list[tuple]] = {}
-    for X in level_nodes:
-        t = _sorted_attrs(X)
-        blocks.setdefault(t[:-1], []).append(t)
-    for members in blocks.values():
-        members.sort()
-    return blocks
-
-
-def _next_level_keys(level_nodes):
-    keys = []
-    for members in _prefix_blocks(level_nodes).values():
-        for t1, t2 in combinations(members, 2):
-            candidate = frozenset(t1) | frozenset(t2)
-            if all(candidate - {a} in level_nodes for a in candidate):
-                keys.append((frozenset(t1), frozenset(t2), candidate))
-    return keys
-
-
-def _next_level(level_nodes):
-    nxt: dict[frozenset, _Node] = {}
-    # Consecutive pairs within a prefix block share the left operand,
-    # so its row->class labels are built once and reused.
-    last_left = None
-    last_labels = None
-    for left, right, candidate in _next_level_keys(level_nodes):
-        p = level_nodes[left].partition
-        if left != last_left:
-            last_left = left
-            last_labels = class_labels(p)
-        part = product(p, level_nodes[right].partition, last_labels)
-        nxt[candidate] = _Node(candidate, part)
-    return nxt
+def _joins(order, nodes):
+    """The (left, right) generator pairs of the next level: nodes of
+    `order` that differ only in their last attribute and whose union has
+    every one-smaller subset in `nodes`.  `order` is lexicographic by
+    members, so its prefix blocks are contiguous and the unions come
+    out lexicographic too."""
+    for prefix, block in groupby(order, key=lambda node: node.members[:-1]):
+        for left, right in combinations(block, 2):
+            union = left.mask | right.mask
+            if all(union ^ (1 << a) in nodes for a in prefix):
+                yield left, right

@@ -64,13 +64,7 @@ class ODSet:
         return len(self.constants) + len(self.ocs)
 
     def __iter__(self):
-        key = lambda od: (
-            len(od.context),
-            tuple(sorted(od.context)),
-            0 if isinstance(od, ConstantOD) else 1,
-            (od.attr,) if isinstance(od, ConstantOD) else (od.a, od.b),
-        )
-        return iter(sorted(self.constants | self.ocs, key=key))
+        return iter(sorted(self.constants | self.ocs, key=_od_key))
 
     def __contains__(self, od):
         return od in self.constants or od in self.ocs
@@ -180,6 +174,10 @@ def _chase(s: ODSet, lim: DerivationLimit, target=None, want_trace=False):
 
 
 def _od_key(od):
+    """Context-first order of canonical dependencies: context size,
+    sorted context, constants before order compatibilities, attributes.
+    All dependencies over one context are adjacent here, unlike under
+    the level-first `odmodel.od_sort_key`."""
     return (
         len(od.context),
         tuple(sorted(od.context)),

@@ -87,6 +87,23 @@ class OrderCompatOD:
             object.__setattr__(self, "b", b)
 
 
+def od_level(od) -> int:
+    """Attributes a canonical dependency spans: its context plus the
+    one (constant) or two (order compatibility) it relates."""
+    return len(od.context) + (1 if isinstance(od, ConstantOD) else 2)
+
+
+def od_sort_key(od):
+    """Level-first order of canonical dependencies: level, sorted
+    context, constants before order compatibilities, attributes."""
+    return (
+        od_level(od),
+        tuple(sorted(od.context)),
+        0 if isinstance(od, ConstantOD) else 1,
+        (od.attr,) if isinstance(od, ConstantOD) else (od.a, od.b),
+    )
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     """Witness pairs for one failed check.

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import BudgetExceededError
 from .inference import is_minimal_constant, is_minimal_oc
-from .odmodel import ConstantOD, ListOD, OrderCompatOD
+from .odmodel import ConstantOD, ListOD, OrderCompatOD, od_sort_key
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,5 @@ def brute_discover(rel, config: OracleConfig = OracleConfig()) -> tuple:
                 od = OrderCompatOD(ctx, a, b)
                 if check(rel, od) and is_minimal_oc(rel, ctx, a, b, validate=check):
                     found.append(od)
-    found.sort(
-        key=lambda od: (
-            len(od.context) + (1 if isinstance(od, ConstantOD) else 2),
-            tuple(sorted(od.context)),
-            0 if isinstance(od, ConstantOD) else 1,
-            (od.attr,) if isinstance(od, ConstantOD) else (od.a, od.b),
-        )
-    )
+    found.sort(key=od_sort_key)
     return tuple(found)

@@ -1,5 +1,6 @@
 import json
 
+from ordep import discover, discover_unpruned
 from ordep.cli import main
 
 
@@ -85,6 +86,18 @@ def test_discover_with_duplicate_rows_reports_the_file(capsys, tmp_path):
     assert "over 2 distinct of 4 rows" in err
     _, brute, _ = run(capsys, *base, "--oracle")
     assert doc["ods"] == json.loads(brute)["ods"]
+
+
+def test_discover_reports_partitions_built_on_stderr(capsys, taxes, taxes_csv, taxes_schema_file):
+    base = ["discover", "--input", taxes_csv, "--schema", taxes_schema_file]
+    for flags, lattice in (((), discover), (("--no-prune",), discover_unpruned)):
+        code, _, err = run(capsys, *base, *flags)
+        assert code == 0
+        built = lattice(taxes).partitions_built
+        assert built > 0
+        assert f"over 6 distinct of 6 rows, {built} partitions built in " in err
+    _, _, err = run(capsys, *base, "--oracle", "--max-level", "2")
+    assert "partitions built" not in err
 
 
 def test_validate_list_od_valid(capsys, taxes_csv, taxes_schema_file):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from ordep import discovery, partitions
@@ -39,6 +40,63 @@ def test_taxes_discovery_golden(taxes):
     assert OrderCompatOD(frozenset(), bin_, sal) in m
     # valid but subsumed by the empty-context form above
     assert OrderCompatOD(frozenset({year}), bin_, sal) not in m
+
+
+def test_taxes_discovery_builds_fewer_products_than_nodes(taxes, monkeypatch):
+    products = []
+
+    def counting_product(p, q, p_labels=None):
+        products.append(p)
+        return partitions.product(p, q, p_labels)
+
+    monkeypatch.setattr(discovery, "product", counting_product)
+    res = discover(taxes)
+    assert res.partitions_built == len(products)
+    assert res.partitions_built < res.stats.nodes_generated
+
+
+# sha256 over the per-run digests of one relation's six runs (discover
+# and discover_unpruned, max_level None, 2 and 3), each the sha256 of
+# repr((ods, stats, levels_processed, exhausted, distinct_rows)).  Taken
+# from the eager frozenset lattice that preceded deferred products; any
+# change to emission order or to a stats field changes a digest.
+GOLDEN_RUN_DIGESTS = (
+    "d0e2f49d3b2b5bd73cb53e564ec2bfdc7157c3b95d13db70707bec6dbe8e709b",
+    "a121677cd5506bb42b153fdeaaf14e3790fc312e4c143dbfab674cd6fe9ffe8e",
+    "24a4d4ddc89617bd3cbbecc785efe283539d52f4893a8576cfa4c3063d2c4d89",
+    "8a7a36e660bee956f98aa653c942e9b66333956c0f437f556cb0264f116bb4e2",
+    "a876ec43deccfcff168ed2f23b274e261d09f8aa0b995cb924edbfffec9b73ae",
+    "97698e29ae80282ae8b9f48afeb237deaf7f6cb1b88530cba48277687fc6be99",
+    "a76b6e90c491cb79672f7e13d11c78fe1ced6964493f72665e626455b2785922",
+    "03db6fa570d4f39980f525ca1825a2bd1649b6a4490fc353577b0e718b144f5f",
+    "2c69fa4160f48d5ca08ae4ae8241516cf3b696f52a45f71381dc89ea3a4998c8",
+    "992679404bc50e1565ed5a2fd793a1162d619652dfa9585ac89d0ae0dc804c4d",
+    "45c1ad278809e9f67c86f6faad05c7b123a271a273c74fe2f48df339ca3e36d5",
+    "bbbcbf7cab8800ab64f28e71255b3579e7050c35fd48449b39b5be599bbb2811",
+    "2abbcdc34b2bf6eae7d22dde81211fc8e1610081ee96aac9341b5e4a3be3505c",
+    "3c7081b93ec30e80d1ee9a37c8bc32ea5d2943d3a32db2d70104b087f6ac57db",
+    "b7187d0baaeee5824825be3816e16d2ef2c161f50a7114d7c10bf8d5e988baf8",
+    "54a19afe2e88011b70c995093c6f399ccf9fe822fa5bdf54dca0293824856e43",
+    "8ce5a7b44f2cf7209f556aed9268178ba9bd7ff2c7c116f44118dcb9cb676f2d",
+    "5419cd9100a2480262abd4a2075d73a1e3d058c5d4cb520d078e5edb6025f8fe",
+    "0e49c2998d677b6b2ee6577ac869588fd328e623e24d8413a96162627a56e70e",
+    "22675297fc1044557bbf901f43891dba56562e3cf8347473448b569cb9bd38d1",
+)
+
+
+def test_output_and_stats_match_golden_digests():
+    rng = random.Random(71)
+    digests = []
+    for i in range(len(GOLDEN_RUN_DIGESTS)):
+        rel = random_relation(rng, max_attrs=7, max_rows=(12, 40)[i % 2], with_nulls=i % 3 == 0)
+        h = hashlib.sha256()
+        for run in (discover, discover_unpruned):
+            for max_level in (None, 2, 3):
+                res = run(rel, max_level)
+                text = repr((res.ods, res.stats, res.levels_processed, res.exhausted, res.distinct_rows))
+                h.update(hashlib.sha256(text.encode()).digest())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == GOLDEN_RUN_DIGESTS
 
 
 def test_taxes_output_is_valid_and_minimal(taxes):
@@ -158,10 +216,15 @@ def test_discovered_set_is_exactly_the_minimal_valid_ones():
 
 
 def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
-    # Unpruned, all 2^5 nodes exist.  A product at level l+1 takes its
-    # left operand from a level-l node whose last attribute is not the
-    # largest, so labels are built C(4, l) times against C(5, l+1)
-    # products.
+    # Products are taken only for partitions a check reads.  Level 1
+    # finds a3 constant, so no set holding a3 keeps a constant
+    # candidate; level 2 finds {a1}: [] |-> a4 and {a4}: [] |-> a1, so
+    # none holding both a1 and a4 does either.  That leaves {0,1,2} and
+    # {0,2,4} as the only level-3 nodes with constant checks, and their
+    # six checks read the five level-2 partitions {0,1}, {0,2}, {1,2},
+    # {0,4} and {2,4}.  Every other check reads the root, a single
+    # attribute or one of those five, so five products are built.  Their
+    # left operands are {0} (three times), {1} and {2}: three label lists.
     labelled = []
     products = []
 
@@ -179,8 +242,9 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     monkeypatch.setattr(discovery, "product", checked_product)
     rel = int_relation([1, 1, 2, 2], [1, 2, 1, 2], [3, 3, 3, 4], [1, 1, 1, 1], [2, 1, 2, 1])
     res = discover_unpruned(rel)
-    assert len(products) == 10 + 10 + 5 + 1
-    assert len(labelled) == 4 + 6 + 4 + 1
+    assert len(products) == res.partitions_built == 5
+    assert len(labelled) == 3
+    assert len(labelled) == len({id(p) for p in labelled})
     monkeypatch.undo()
     assert res.ods == discover_unpruned(rel).ods
 
