@@ -26,6 +26,7 @@ from .odmodel import (
     format_od,
     map_list_to_canonical,
     map_od_attrs,
+    od_attrs,
     od_level,
     od_sort_key,
     parse_canonical_parts,
@@ -58,6 +59,21 @@ class RunReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
+def _int_at_least(low):
+    """argparse type for an integer flag that must be at least `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ordep", description="Order dependency toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="find all minimal order dependencies")
     add_data_flags(p)
     add_common(p)
-    p.add_argument("--max-level", type=int, help="cap on attributes per lattice node")
+    p.add_argument("--max-level", type=_int_at_least(1), help="cap on attributes per lattice node")
     p.add_argument("--no-prune", action="store_true", help="disable node deletion and key shortcuts")
     p.add_argument("--oracle", action="store_true", help="use the brute-force reference instead")
 
@@ -96,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="canonical dependency text")
     p.add_argument("--premises", required=True, help="JSON file with universe and ods")
     add_common(p)
-    p.add_argument("--max-context", type=int, help="context size limit (default: universe size)")
-    p.add_argument("--max-chain", type=int, default=3, help="chain length limit")
+    p.add_argument("--max-context", type=_int_at_least(0), help="context size limit (default: universe size)")
+    p.add_argument("--max-chain", type=_int_at_least(0), default=3, help="chain length limit")
     p.add_argument("--trace", action="store_true", help="print one derivation path")
     return parser
 
@@ -253,10 +269,7 @@ def _parse_premises(path):
     for od in ods:
         if isinstance(od, ListOD):
             raise OrdepError("premises must be canonical dependencies, not list form")
-    mentioned = set()
-    for od in ods:
-        mentioned |= od.context
-        mentioned |= {od.attr} if isinstance(od, ConstantOD) else {od.a, od.b}
+    mentioned = {a for od in ods for a in od_attrs(od)}
     universe = frozenset(doc.get("universe", sorted(mentioned)))
     return ODSet(universe, ods)
 
@@ -288,8 +301,7 @@ def _cmd_infer(args) -> int:
     target = parse_od(args.target)
     if isinstance(target, ListOD):
         raise OrdepError("infer expects a canonical dependency target")
-    universe = premises.universe | target.context
-    universe |= {target.attr} if isinstance(target, ConstantOD) else {target.a, target.b}
+    universe = premises.universe.union(od_attrs(target))
     premises = ODSet(universe, premises.constants | premises.ocs)
     max_ctx = args.max_context if args.max_context is not None else len(universe)
     lim = DerivationLimit(max_ctx, args.max_chain)

@@ -150,7 +150,8 @@ class _Node:
 
 
 def discover(rel, max_level: int | None = None) -> DiscoveryResult:
-    """Find the complete minimal set of canonical dependencies."""
+    """Find the complete minimal set of canonical dependencies over at
+    most max_level attributes each (at least 1; None for no cap)."""
     return _run(rel, max_level, prune=True)
 
 
@@ -171,10 +172,12 @@ def _distinct_rows(rel):
 
 
 def _run(rel, max_level, prune: bool) -> DiscoveryResult:
+    if max_level is not None and max_level < 1:
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
     input_rows = rel.row_count
     rel = _distinct_rows(rel)
     n_attrs = rel.attr_count
-    cap = n_attrs if max_level is None else max(1, min(max_level, n_attrs))
+    cap = n_attrs if max_level is None else min(max_level, n_attrs)
     cols = rel.columns
     taus = [sorted_partition(rel, a) for a in range(n_attrs)]
     built = 0

@@ -1,7 +1,10 @@
 """Bounded forward chaining over the canonical dependency axioms.
 
-The rule set (over non-trivial canonical dependencies; trivial ones are
-true by construction and never stored):
+The rules are spelled out once, in the rule table `_consequences`, over
+non-trivial canonical dependencies (trivial ones are true by
+construction and never stored).  `closure`, `derives` and
+`derive_with_trace` run its passes to a fixpoint; `apply_axioms_once`
+is a single pass.
 
   commutativity     X: A ~ B  derives  X: B ~ A          (implicit: storage is unordered)
   strengthen        X: [] |-> A  and  XA: [] |-> B   derive  X: [] |-> B
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .odmodel import ConstantOD, OrderCompatOD, validate_canonical
+from .odmodel import ConstantOD, OrderCompatOD, od_attrs, validate_canonical
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class ODSet:
         for od in ods:
             if not isinstance(od, (ConstantOD, OrderCompatOD)):
                 raise TypeError(f"not a canonical dependency: {od!r}")
-            for a in _attrs_of(od):
+            for a in od_attrs(od):
                 if a not in self.universe:
                     raise ValueError(f"attribute {a!r} is outside the universe")
             if isinstance(od, ConstantOD):
@@ -81,12 +84,6 @@ class ODSet:
         return hash((self.universe, self.constants, self.ocs))
 
 
-def _attrs_of(od):
-    if isinstance(od, ConstantOD):
-        return tuple(od.context) + (od.attr,)
-    return tuple(od.context) + (od.a, od.b)
-
-
 def holds_constant(s: ODSet, context: frozenset, attr) -> bool:
     """Membership with trivial dependencies counted as present."""
     if attr in context:
@@ -101,7 +98,7 @@ def holds_oc(s: ODSet, context: frozenset, a, b) -> bool:
 
 
 def _chase(s: ODSet, lim: DerivationLimit, target=None, want_trace=False):
-    """Run rule applications to fixpoint (or until target appears).
+    """Run passes of the rule table to fixpoint (or until target appears).
 
     Returns (constants, ocs, provenance).  Provenance maps each derived
     dependency to (rule name, premise tuple); premises given as input
@@ -111,66 +108,68 @@ def _chase(s: ODSet, lim: DerivationLimit, target=None, want_trace=False):
     consts = set(s.constants)
     ocs = set(s.ocs)
     prov: dict = {}
-    max_ctx = lim.max_context_size
-
-    def add(od, rule, premises):
-        pool = consts if isinstance(od, ConstantOD) else ocs
-        if od in pool:
-            return False
-        pool.add(od)
-        if want_trace:
-            prov[od] = (rule, tuple(premises))
-        return True
-
-    def found():
-        return target is not None and (target in consts or target in ocs)
-
     changed = True
-    while changed and not found():
+    while changed and target not in consts and target not in ocs:
         changed = False
-        # Constant-premise rules.
-        for od in sorted(consts, key=_od_key):
-            X, A = od.context, od.attr
-            # propagate: X: [] |-> A gives X: A ~ B for every other B.
-            if len(X) <= max_ctx:
-                for B in univ:
-                    if B != A and B not in X:
-                        changed |= add(OrderCompatOD(X, A, B), "propagate", (od,))
-            # augmentation: blow the context up by any disjoint Z.
-            rest = [z for z in univ if z not in X and z != A]
-            for r in range(1, max_ctx - len(X) + 1):
-                for extra in combinations(rest, r):
-                    changed |= add(ConstantOD(X | frozenset(extra), A), "augmentation-c", (od,))
-            # strengthen: X: [] |-> A and XA: [] |-> B give X: [] |-> B.
-            if len(X) <= max_ctx:
-                xa = X | {A}
-                for other in sorted(consts, key=_od_key):
-                    if other.context == xa and other.attr not in X:
-                        changed |= add(ConstantOD(X, other.attr), "strengthen", (od, other))
-        # Compatibility-premise rules.
-        for od in sorted(ocs, key=_od_key):
-            X = od.context
-            rest = [z for z in univ if z not in X and z not in (od.a, od.b)]
-            for r in range(1, max_ctx - len(X) + 1):
-                for extra in combinations(rest, r):
-                    changed |= add(
-                        OrderCompatOD(X | frozenset(extra), od.a, od.b), "augmentation-oc", (od,)
-                    )
-        # chain: contexts that carry at least one compatibility.
-        for X in sorted({od.context for od in ocs}, key=lambda c: (len(c), tuple(sorted(c)))):
-            if len(X) > max_ctx:
-                continue
-            avail = [z for z in univ if z not in X]
-            for A, C in combinations(avail, 2):
-                if OrderCompatOD(X, A, C) in ocs:
-                    continue
-                mids = [m for m in avail if m != A and m != C]
-                hit = _find_chain(ocs, X, A, C, mids, lim.max_chain_length)
-                if hit is not None:
-                    changed |= add(OrderCompatOD(X, A, C), "chain", hit)
-        if found():
-            break
+        for od, rule, premises in _consequences(consts, ocs, univ, lim):
+            pool = consts if isinstance(od, ConstantOD) else ocs
+            if od not in pool:
+                # Added before the pass resumes, so later rules of the
+                # same pass already see it.
+                pool.add(od)
+                changed = True
+                if want_trace:
+                    prov[od] = (rule, premises)
     return consts, ocs, prov
+
+
+def _consequences(consts, ocs, univ, lim: DerivationLimit):
+    """The rule table: one pass of every rule over the dependencies in
+    consts and ocs, yielding (conclusion, rule name, premise tuple).
+
+    Premises are read in context-first order from the live sets, so a
+    caller that adds each conclusion before resuming lets the rest of
+    the pass build on it.  Conclusions already present are yielded too.
+    """
+    max_ctx = lim.max_context_size
+    # Constant-premise rules.
+    for od in sorted(consts, key=_od_key):
+        X, A = od.context, od.attr
+        # propagate: X: [] |-> A gives X: A ~ B for every other B.
+        if len(X) <= max_ctx:
+            for B in univ:
+                if B != A and B not in X:
+                    yield OrderCompatOD(X, A, B), "propagate", (od,)
+        # augmentation: blow the context up by any disjoint Z.
+        rest = [z for z in univ if z not in X and z != A]
+        for r in range(1, max_ctx - len(X) + 1):
+            for extra in combinations(rest, r):
+                yield ConstantOD(X | frozenset(extra), A), "augmentation-c", (od,)
+        # strengthen: X: [] |-> A and XA: [] |-> B give X: [] |-> B.
+        if len(X) <= max_ctx:
+            xa = X | {A}
+            for other in sorted(consts, key=_od_key):
+                if other.context == xa and other.attr not in X:
+                    yield ConstantOD(X, other.attr), "strengthen", (od, other)
+    # Compatibility-premise rules.
+    for od in sorted(ocs, key=_od_key):
+        X = od.context
+        rest = [z for z in univ if z not in X and z not in (od.a, od.b)]
+        for r in range(1, max_ctx - len(X) + 1):
+            for extra in combinations(rest, r):
+                yield OrderCompatOD(X | frozenset(extra), od.a, od.b), "augmentation-oc", (od,)
+    # chain: contexts that carry at least one compatibility.
+    for X in sorted({od.context for od in ocs}, key=lambda c: (len(c), tuple(sorted(c)))):
+        if len(X) > max_ctx:
+            continue
+        avail = [z for z in univ if z not in X]
+        for A, C in combinations(avail, 2):
+            if OrderCompatOD(X, A, C) in ocs:
+                continue
+            mids = [m for m in avail if m != A and m != C]
+            hit = _find_chain(ocs, X, A, C, mids, lim.max_chain_length)
+            if hit is not None:
+                yield OrderCompatOD(X, A, C), "chain", hit
 
 
 def _od_key(od):
@@ -200,41 +199,10 @@ def _find_chain(ocs, X, A, C, mids, max_len):
 
 
 def apply_axioms_once(s: ODSet, lim: DerivationLimit) -> ODSet:
-    """s plus every dependency one rule application away, within limits."""
-    univ = sorted(s.universe)
-    consts = set(s.constants)
-    ocs = set(s.ocs)
-    max_ctx = lim.max_context_size
-    for od in s.constants:
-        X, A = od.context, od.attr
-        if len(X) <= max_ctx:
-            for B in univ:
-                if B != A and B not in X:
-                    ocs.add(OrderCompatOD(X, A, B))
-        rest = [z for z in univ if z not in X and z != A]
-        for r in range(1, max_ctx - len(X) + 1):
-            for extra in combinations(rest, r):
-                consts.add(ConstantOD(X | frozenset(extra), A))
-        if len(X) <= max_ctx:
-            xa = X | {A}
-            for other in s.constants:
-                if other.context == xa and other.attr not in X:
-                    consts.add(ConstantOD(X, other.attr))
-    for od in s.ocs:
-        X = od.context
-        rest = [z for z in univ if z not in X and z not in (od.a, od.b)]
-        for r in range(1, max_ctx - len(X) + 1):
-            for extra in combinations(rest, r):
-                ocs.add(OrderCompatOD(X | frozenset(extra), od.a, od.b))
-    for X in {od.context for od in s.ocs}:
-        if len(X) > max_ctx:
-            continue
-        avail = [z for z in univ if z not in X]
-        for A, C in combinations(avail, 2):
-            mids = [m for m in avail if m != A and m != C]
-            if _find_chain(s.ocs, X, A, C, mids, lim.max_chain_length) is not None:
-                ocs.add(OrderCompatOD(X, A, C))
-    return ODSet(s.universe, consts | ocs)
+    """s plus every dependency one rule application away, within limits:
+    a single pass of the rule table over s alone."""
+    derived = [od for od, _, _ in _consequences(s.constants, s.ocs, sorted(s.universe), lim)]
+    return ODSet(s.universe, [*s.constants, *s.ocs, *derived])
 
 
 def closure(s: ODSet, lim: DerivationLimit) -> ODSet:

@@ -93,6 +93,14 @@ def od_level(od) -> int:
     return len(od.context) + (1 if isinstance(od, ConstantOD) else 2)
 
 
+def od_attrs(od) -> tuple:
+    """The attributes a canonical dependency mentions: its context, then
+    the one or two it relates."""
+    if isinstance(od, ConstantOD):
+        return (*od.context, od.attr)
+    return (*od.context, od.a, od.b)
+
+
 def od_sort_key(od):
     """Level-first order of canonical dependencies: level, sorted
     context, constants before order compatibilities, attributes."""
@@ -206,14 +214,9 @@ def validate_canonical(rel, od) -> bool:
 
 def find_splits(rel, x, y) -> tuple[tuple[int, int], ...]:
     """All row pairs equal on x but unequal on y, as 1-based (s, t), s < t."""
-    xi = sorted(set(_resolve(rel, x)))
     yi = sorted(set(_resolve(rel, y)))
-    groups: dict[tuple, list[int]] = {}
-    for t in range(rel.row_count):
-        key = tuple(rel.columns[i][t] for i in xi)
-        groups.setdefault(key, []).append(t)
     pairs = []
-    for rows in groups.values():
+    for rows in partition_set(rel, x).classes:
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 s, t = rows[i], rows[j]
@@ -229,16 +232,9 @@ def find_swaps(rel, context, a, b) -> tuple[tuple[int, int], ...]:
     Each pair is reported as 1-based (s, t) with s strictly before t on
     a and strictly after t on b.
     """
-    ai = rel.attr_index(a)
-    bi = rel.attr_index(b)
-    ca, cb = rel.columns[ai], rel.columns[bi]
-    ctx = sorted(set(_resolve(rel, context)))
-    groups: dict[tuple, list[int]] = {}
-    for t in range(rel.row_count):
-        key = tuple(rel.columns[i][t] for i in ctx)
-        groups.setdefault(key, []).append(t)
+    ca, cb = rel.column(a), rel.column(b)
     pairs = []
-    for rows in groups.values():
+    for rows in partition_set(rel, context).classes:
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 s, t = rows[i], rows[j]

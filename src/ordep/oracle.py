@@ -22,6 +22,10 @@ class OracleConfig:
     max_level: int | None = None
     check_budget: int = 1_000_000
 
+    def __post_init__(self):
+        if self.max_level is not None and self.max_level < 1:
+            raise ValueError(f"max_level must be at least 1, got {self.max_level}")
+
 
 def _value_key(rel):
     """Comparator key making nulls orderable per the relation's policy."""

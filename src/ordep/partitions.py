@@ -13,7 +13,9 @@ Three views of a column (or column set) drive everything here:
 
 Classes are tuples of 0-based row indices in ascending order; lists of
 classes are ordered by their smallest member, which makes every
-operation reproducible.
+operation reproducible.  Partitions built from the columns themselves
+group rows in one step, `_group_rows`, whose groups come out ascending
+and ordered by first row.
 """
 
 from __future__ import annotations
@@ -60,19 +62,23 @@ class SortedPartition:
         return tuple(tuple(groups[p]) for p in sorted(groups))
 
 
-def partition_single(rel, attr) -> StrippedPartition:
-    """Stripped partition of one attribute."""
-    col = rel.column(attr)
-    groups: dict[int, list[int]] = {}
-    for t, r in enumerate(col):
-        g = groups.get(r)
+def _group_rows(keys) -> dict:
+    """Rows grouped by key: key -> ascending list of the rows t whose
+    key is keys[t], with keys in order of their first row."""
+    groups: dict = {}
+    for t, key in enumerate(keys):
+        g = groups.get(key)
         if g is None:
-            groups[r] = [t]
+            groups[key] = [t]
         else:
             g.append(t)
-    classes = [tuple(g) for g in groups.values() if len(g) >= 2]
-    classes.sort(key=lambda c: c[0])
-    return StrippedPartition(tuple(classes), rel.row_count)
+    return groups
+
+
+def partition_single(rel, attr) -> StrippedPartition:
+    """Stripped partition of one attribute."""
+    groups = _group_rows(rel.column(attr))
+    return StrippedPartition(tuple(tuple(g) for g in groups.values() if len(g) >= 2), rel.row_count)
 
 
 def partition_set(rel, attrs) -> StrippedPartition:
@@ -84,18 +90,8 @@ def partition_set(rel, attrs) -> StrippedPartition:
     idx = sorted(rel.attr_index(a) for a in set(attrs))
     if not idx:
         return empty_context_partition(rel)
-    cols = [rel.columns[i] for i in idx]
-    groups: dict[tuple, list[int]] = {}
-    for t in range(rel.row_count):
-        key = tuple(c[t] for c in cols)
-        g = groups.get(key)
-        if g is None:
-            groups[key] = [t]
-        else:
-            g.append(t)
-    classes = [tuple(g) for g in groups.values() if len(g) >= 2]
-    classes.sort(key=lambda c: c[0])
-    return StrippedPartition(tuple(classes), rel.row_count)
+    groups = _group_rows(zip(*(rel.columns[i] for i in idx)))
+    return StrippedPartition(tuple(tuple(g) for g in groups.values() if len(g) >= 2), rel.row_count)
 
 
 def empty_context_partition(rel) -> StrippedPartition:
@@ -108,16 +104,8 @@ def empty_context_partition(rel) -> StrippedPartition:
 
 def sorted_partition(rel, attr) -> SortedPartition:
     """Sorted partition of one attribute (ascending rank, singletons in)."""
-    col = rel.column(attr)
-    groups: dict[int, list[int]] = {}
-    for t, r in enumerate(col):
-        g = groups.get(r)
-        if g is None:
-            groups[r] = [t]
-        else:
-            g.append(t)
-    ranks = sorted(groups)
-    classes = tuple(tuple(groups[r]) for r in ranks)
+    groups = _group_rows(rel.column(attr))
+    classes = tuple(tuple(groups[r]) for r in sorted(groups))
     position = [0] * rel.row_count
     for i, cls in enumerate(classes):
         for t in cls:

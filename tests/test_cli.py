@@ -284,6 +284,41 @@ def test_usage_errors_exit_two(capsys, tmp_path, taxes_csv, taxes_schema_file):
         capsys.readouterr()
 
 
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_max_level_below_one_is_usage_error(capsys, tmp_path):
+    csv = tmp_path / "const.csv"
+    csv.write_text("a,b\n1,5\n2,5\n3,5\n")
+    base = ["discover", "--input", str(csv), "--infer-schema"]
+    for value in ("0", "-1"):
+        for extra in ([], ["--oracle"]):
+            code, out, err = run(capsys, *base, "--max-level", value, *extra)
+            assert_one_line_usage_error(code, err)
+            assert out == ""
+            assert "--max-level: must be at least 1" in err
+    code, out, _ = run(capsys, *base, "--max-level", "1")
+    assert (code, out) == (0, "{}: [] |-> b\n")
+    code, out, _ = run(capsys, *base, "--max-level", "1", "--oracle")
+    assert (code, out) == (0, "{}: [] |-> b\n")
+
+
+def test_negative_infer_limits_are_usage_errors(capsys, tmp_path):
+    premises = write_premises(tmp_path, {"universe": ["A", "B"], "ods": ["{}: A ~ B"]})
+    for flag in ("--max-context", "--max-chain"):
+        code, out, err = run(capsys, "infer", "{}: A ~ B", "--premises", premises, flag, "-1")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+        assert f"{flag}: must be at least 0" in err
+        code, _, err = run(capsys, "infer", "{}: A ~ B", "--premises", premises, flag, "x")
+        assert_one_line_usage_error(code, err)
+        code, out, _ = run(capsys, "infer", "{}: A ~ B", "--premises", premises, flag, "0")
+        assert (code, out) == (0, "yes: {}: A ~ B\n")
+
+
 def test_infer_bad_premises_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

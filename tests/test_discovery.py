@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import pytest
+
 from ordep import discovery, partitions
 from ordep import (
     ConstantOD,
@@ -169,6 +171,15 @@ def test_max_level_one(taxes):
     assert res.ods == ()
     assert res.levels_processed == 1
     assert not res.exhausted
+
+
+def test_max_level_below_one_is_rejected(taxes):
+    for max_level in (0, -1):
+        for run in (discover, discover_unpruned):
+            with pytest.raises(ValueError):
+                run(taxes, max_level)
+        with pytest.raises(ValueError):
+            brute_discover(taxes, OracleConfig(max_level=max_level))
 
 
 def test_max_level_beyond_width_is_exhaustive(taxes):

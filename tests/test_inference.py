@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from ordep import (
     derive_with_trace,
     derives,
     discover,
+    format_od,
     holds_constant,
     holds_oc,
     is_minimal_constant,
@@ -260,3 +262,102 @@ def test_minimality_uses_injected_validator():
     ok = is_minimal_constant(None, frozenset({"A", "B"}), "C", validate=fake)
     assert not ok
     assert ConstantOD(frozenset({"A"}), "B") in hits
+
+
+def random_premises(rng, univ, max_ods):
+    """Up to max_ods non-trivial canonical dependencies over univ."""
+    ods = []
+    for _ in range(rng.randint(1, max_ods)):
+        ctx = frozenset(rng.sample(univ, rng.randint(0, min(2, len(univ) - 2))))
+        rest = [u for u in univ if u not in ctx]
+        if rng.random() < 0.4:
+            ods.append(ConstantOD(ctx, rng.choice(rest)))
+        else:
+            a, b = rng.sample(rest, 2)
+            ods.append(OrderCompatOD(ctx, a, b))
+    return ods
+
+
+# One digest per seeded premise set: sha256 of the format_od text of
+# closure, apply_axioms_once, and the derives answer and
+# derive_with_trace path (rule names included) for up to five targets.
+# Taken from the chaser that spelled the rules out in both _chase and
+# apply_axioms_once; any change to a closure, an answer or a derivation
+# path changes a digest.
+GOLDEN_INFERENCE_DIGESTS = (
+    "0806ee9c60f7f796f7953e9dd65235fd23dd28d0cd702fdb0cc7a633ecb88d22",
+    "deccc7fb54fd4b2a4c551cf080ef92d6f1f37f65662c15de96174e32b07bc4a6",
+    "c4c8754e3a3607501dafbfb0906cb49e6c91232ad9b20e9bd35a9120d0676503",
+    "f15f0744fc131de8a153b7174bb287a68f0601cc51e133dc0294b1bf3ed24d4e",
+    "9ccd5dc96d6ffad6d3add94507931b43a402204ca5cf133890e70a58f21a788c",
+    "1c245492a1b71eed0a2f0325a6b41c0f1eb2a050e83f747d6e0ff051b9f72b49",
+    "35f30ed6a30e86a9d0a445b03b913032428e3138050b449a8d514e8dee4fa1a6",
+    "244b446c9ce1176d22ecc2f9c5706fa7a3f1486d3021be4a1240a831c49e1896",
+    "c3ea9bb10e690a080f141f2fb81f57ee8d3bd05e86a24738645517eb779e1895",
+    "94951d4f5ca7a1675c40542f53e6e698ab0c1d16d51656f7994cc2d81e92700e",
+    "30cfd44236de0a03fb13f26eb93fe87bc7f53a21e43adee7e038e202b3176d18",
+    "a6465ac258a14f8f8aa715a20295bbcc089f9a90e37f65edb65c83496af2ceb4",
+    "a2e4828f42fdc3d2d3581a2558add952c988cdd91373fbe2dd83d690d1346cab",
+    "d04119bcce642dba3c0a3c80a28fbeb829cd1dd148737ca6f09239a3335aee4c",
+    "d11f898cfcea67fa948ca9924d2b20dfac9d42c5bc08001122d041018c19ff73",
+    "b8af612a5d6c12afe50bd46f96cf7e4a42d816b71ea1bd0d6ca6d2925b472434",
+    "f2ec4405e88aa47cbaa2580ac08636e92c56954f5e5770d19967d3783fd145f3",
+    "04201957acda59869c8923167206706dd6123d9404246a68ece453b6b8d64660",
+    "f63461b5654ded2a08b02a71a2d70068d7d8469b8dde0f6e6b63eb4664abef24",
+    "c7c79e5024dc3f0996b96e43c295ae679a89dd37b1ec0e43173ccca6a430fd55",
+    "7cf36418389657aee7a4ec8b034829689da01bdcfdeb89abeac84fc4a57f69ce",
+    "e80fdf2248bc231afcadffdbfd3ceae12c86a82a1f9f128b81d99f8dfd682429",
+    "c0c28acda06beb2df8d03ef78ad591521ff25c1e9b713911095ddddcc228f6f6",
+    "a28bab542792613f76e0145c140317f56d1e6b440efd3405d4903449c34d9c32",
+    "69d60eca0642e1365b2e4b612fabf3dfd7379f6993b72e6acf68876fb1c3923b",
+    "7073dbcf6ffeb3c852349e4c9fd5a52ba7e1852790cd614ad54b2d029dd2593a",
+    "1de44a52b1a3a4df831cb7487c318f61890938365476485a2fda3b8eb9e34725",
+    "cb0a6fc15171fe52afa5f09ccb846bdd06b868e7938e71327a44b390b33a3b12",
+    "f4b892cc1a912ced5e283051edcc22608e0f0ad7e41fdc8b85b5b438467bd721",
+    "19a316a826407441f2e0eccd0d25372493fd443c4cc460a5c5c0f090332b95b1",
+)
+
+
+def inference_digests(n):
+    rng = random.Random(83)
+    digests = []
+    for i in range(n):
+        univ = "ABCDEF"[: 3 + i % 4]
+        s = ODSet(univ, random_premises(rng, univ, 2 + i % 4))
+        lim = DerivationLimit(rng.randint(0, len(univ)), rng.randint(0, 3))
+        full = closure(s, lim)
+        lines = ["closure " + format_od(od) for od in full]
+        lines += ["once " + format_od(od) for od in apply_axioms_once(s, lim)]
+        # Random targets, mostly not derivable, plus the derived members
+        # of the closure with the smallest contexts, whose paths go
+        # through the rules.
+        derived = [od for od in full if od not in s]
+        targets = random_premises(random.Random(i), univ, 2) + derived[:3]
+        for target in targets:
+            lines.append(f"derives {format_od(target)} {derives(s, target, lim)}")
+            for od, rule, premises in derive_with_trace(s, target, lim) or ():
+                lines.append(f"  {format_od(od)} via {rule}: " + "; ".join(map(format_od, premises)))
+        digests.append(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    return tuple(digests)
+
+
+def test_inference_matches_golden_digests():
+    assert inference_digests(len(GOLDEN_INFERENCE_DIGESTS)) == GOLDEN_INFERENCE_DIGESTS
+
+
+def test_applying_axioms_once_to_a_fixpoint_is_the_closure():
+    # closure and apply_axioms_once read the same rule table; stepping
+    # the single application until nothing changes must reach the
+    # closure, for every limit.
+    rng = random.Random(84)
+    for i in range(40):
+        univ = "ABCDE"[: 3 + i % 3]
+        s = ODSet(univ, random_premises(rng, univ, 4))
+        lim = DerivationLimit(rng.randint(0, len(univ)), rng.randint(0, 2))
+        step = s
+        while True:
+            nxt = apply_axioms_once(step, lim)
+            if nxt == step:
+                break
+            step = nxt
+        assert step == closure(s, lim)
