@@ -24,6 +24,7 @@ from .odmodel import (
     ConstantOD,
     ListOD,
     format_od,
+    is_trivial,
     map_list_to_canonical,
     map_od_attrs,
     od_attrs,
@@ -274,21 +275,12 @@ def _parse_premises(path):
     return ODSet(universe, ods)
 
 
-def _trivial_canonical(text):
-    """True when the text is canonical syntax but names a dependency
-    that holds structurally (reflexivity or identity shape)."""
-    parts = parse_canonical_parts(text)
-    if parts is None:
-        return False
-    if parts[0] == "constant":
-        return parts[2] in parts[1]
-    _, ctx, a, b = parts
-    return a == b or a in ctx or b in ctx
-
-
 def _cmd_infer(args) -> int:
     premises = _parse_premises(args.premises)
-    if _trivial_canonical(args.target):
+    # A trivial target holds on any data and cannot be built as a
+    # dependency object, so it is answered from its raw parts.
+    parts = parse_canonical_parts(args.target)
+    if parts is not None and is_trivial(parts[1], parts[2:]):
         results = {"target": args.target.strip(), "answer": "yes", "derivable": True, "trivial": True}
         flags = _common_flags(args)
         flags.update({"max_context": args.max_context, "max_chain": args.max_chain, "trace": args.trace})

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .odmodel import ConstantOD, OrderCompatOD, od_attrs, validate_canonical
+from .odmodel import ConstantOD, OrderCompatOD, is_trivial, od_attrs, validate_canonical
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,11 @@ class ODSet:
 
 def holds_constant(s: ODSet, context: frozenset, attr) -> bool:
     """Membership with trivial dependencies counted as present."""
-    if attr in context:
-        return True
-    return ConstantOD(context, attr) in s.constants
+    return is_trivial(context, (attr,)) or ConstantOD(context, attr) in s.constants
 
 
 def holds_oc(s: ODSet, context: frozenset, a, b) -> bool:
-    if a == b or a in context or b in context:
-        return True
-    return OrderCompatOD(context, a, b) in s.ocs
+    return is_trivial(context, (a, b)) or OrderCompatOD(context, a, b) in s.ocs
 
 
 def _chase(s: ODSet, lim: DerivationLimit, target=None, want_trace=False):
@@ -186,16 +182,30 @@ def _od_key(od):
 
 
 def _find_chain(ocs, X, A, C, mids, max_len):
-    """First premise tuple proving X: A ~ C through <= max_len middles."""
+    """First premise tuple proving X: A ~ C through <= max_len middles.
+
+    A candidate is dropped at its first premise missing from ocs, before
+    the rest are built."""
     for n in range(1, max_len + 1):
         for seq in permutations(mids, n):
-            premises = [OrderCompatOD(X, A, seq[0])]
-            premises += [OrderCompatOD(X, seq[i], seq[i + 1]) for i in range(n - 1)]
-            premises.append(OrderCompatOD(X, seq[-1], C))
-            premises += [OrderCompatOD(X | {m}, A, C) for m in seq]
-            if all(p in ocs for p in premises):
+            premises = []
+            for p in _chain_premises(X, A, C, seq):
+                if p not in ocs:
+                    break
+                premises.append(p)
+            else:
                 return tuple(premises)
     return None
+
+
+def _chain_premises(X, A, C, seq):
+    """The chain rule's premises for middles seq, in order: the links
+    A ~ seq[0] ~ ... ~ seq[-1] ~ C over X, then XBi: A ~ C per middle."""
+    path = (A, *seq, C)
+    for u, v in zip(path, path[1:]):
+        yield OrderCompatOD(X, u, v)
+    for m in seq:
+        yield OrderCompatOD(X | {m}, A, C)
 
 
 def apply_axioms_once(s: ODSet, lim: DerivationLimit) -> ODSet:

@@ -10,8 +10,11 @@ set of canonical dependencies of just two shapes:
 * OrderCompatOD -- `{X}: A ~ B`: within each group equal on X, no two
   rows order one way by A and the opposite way by B (no swap).
 
-The quadratic pairwise definitions live here as the readable reference
-semantics; lattice discovery uses the partition-based checks instead.
+A list dependency is decided through that equivalence only: it holds
+exactly when every member of its mapped set holds, and each member is
+checked on partitions.  The pairwise definitions on raw values live in
+`oracle`, which cross-checks this module.  Row pairs are enumerated here
+only to list witnesses (`find_splits`, `find_swaps`, `violations`).
 
 Attribute identifiers are deliberately generic: the discovery engine
 works with 0-based column indices, while parsed text and inference over
@@ -40,6 +43,13 @@ def normalize_spec(spec) -> tuple:
             seen.add(a)
             out.append(a)
     return tuple(out)
+
+
+def is_trivial(context, attrs) -> bool:
+    """Whether the canonical dependency relating attrs under context
+    holds on any data: an attribute repeats (identity) or sits in its
+    own context (reflexivity).  Such dependencies are never built."""
+    return len(set(attrs)) < len(attrs) or any(a in context for a in attrs)
 
 
 @dataclass(frozen=True)
@@ -131,52 +141,11 @@ def _resolve(rel, attrs):
     return [rel.attr_index(a) for a in attrs]
 
 
-def lex_leq(rel, s: int, t: int, spec) -> bool:
-    """Row s precedes-or-ties row t under the lexicographic spec."""
-    for a in _resolve(rel, spec):
-        col = rel.columns[a]
-        ra, rb = col[s], col[t]
-        if ra < rb:
-            return True
-        if ra > rb:
-            return False
-    return True
-
-
-def satisfies_list_od(rel, od: ListOD) -> bool:
-    """Pairwise reference check of lhs -> rhs; quadratic in rows."""
-    lhs = _resolve(rel, od.lhs)
-    rhs = _resolve(rel, od.rhs)
-    n = rel.row_count
-    cols = rel.columns
-
-    def leq(s, t, spec):
-        for a in spec:
-            col = cols[a]
-            if col[s] < col[t]:
-                return True
-            if col[s] > col[t]:
-                return False
-        return True
-
-    for s in range(n):
-        for t in range(n):
-            if leq(s, t, lhs) and not leq(s, t, rhs):
-                return False
-    return True
-
-
-def order_equivalent(rel, x, y) -> bool:
-    """Both lists sort the relation identically (each implies the other)."""
-    return satisfies_list_od(rel, ListOD(tuple(x), tuple(y))) and satisfies_list_od(
-        rel, ListOD(tuple(y), tuple(x))
-    )
-
-
-def order_compatible(rel, x, y) -> bool:
-    """The concatenations xy and yx are order equivalent."""
-    x, y = tuple(x), tuple(y)
-    return order_equivalent(rel, x + y, y + x)
+def _row_keys(rel, spec) -> list[tuple]:
+    """Each row's tuple of ranks under spec; tuples compare
+    lexicographically, ties broken by later attributes."""
+    cols = [rel.columns[a] for a in _resolve(rel, spec)]
+    return list(zip(*cols)) if cols else [()] * rel.row_count
 
 
 def map_list_to_canonical(od: ListOD) -> tuple:
@@ -191,15 +160,13 @@ def map_list_to_canonical(od: ListOD) -> tuple:
     ctx_all = frozenset(X)
     out = []
     for yj in Y:
-        if yj not in ctx_all:
+        if not is_trivial(ctx_all, (yj,)):
             out.append(ConstantOD(ctx_all, yj))
     for i in range(len(X)):
         for j in range(len(Y)):
             ctx = frozenset(X[:i]) | frozenset(Y[:j])
-            a, b = X[i], Y[j]
-            if a == b or a in ctx or b in ctx:
-                continue
-            out.append(OrderCompatOD(ctx, a, b))
+            if not is_trivial(ctx, (X[i], Y[j])):
+                out.append(OrderCompatOD(ctx, X[i], Y[j]))
     return tuple(dict.fromkeys(out))
 
 
@@ -210,6 +177,25 @@ def validate_canonical(rel, od) -> bool:
         return check_constant(ctx, rel.column(od.attr))
     tau = sorted_partition(rel, od.a)
     return check_order_compatible(ctx, tau, rel.column(od.b))
+
+
+def satisfies_list_od(rel, od: ListOD) -> bool:
+    """Check lhs -> rhs through its canonical mapping: the list
+    dependency holds exactly when every mapped member does."""
+    return all(validate_canonical(rel, c) for c in map_list_to_canonical(od))
+
+
+def order_equivalent(rel, x, y) -> bool:
+    """Both lists sort the relation identically (each implies the other)."""
+    return satisfies_list_od(rel, ListOD(tuple(x), tuple(y))) and satisfies_list_od(
+        rel, ListOD(tuple(y), tuple(x))
+    )
+
+
+def order_compatible(rel, x, y) -> bool:
+    """The concatenations xy and yx are order equivalent."""
+    x, y = tuple(x), tuple(y)
+    return order_equivalent(rel, x + y, y + x)
 
 
 def find_splits(rel, x, y) -> tuple[tuple[int, int], ...]:
@@ -263,25 +249,12 @@ def violations(rel, od) -> tuple[ViolationReport, ...]:
     split_pairs = find_splits(rel, od.lhs, [a for a in od.rhs if a not in od.lhs])
     if split_pairs:
         out.append(ViolationReport("split", tuple(od.lhs), tuple(od.rhs), split_pairs))
-    lhs = _resolve(rel, od.lhs)
-    rhs = _resolve(rel, od.rhs)
-    cols = rel.columns
-
-    def less(s, t, spec):
-        for a in spec:
-            if cols[a][s] < cols[a][t]:
-                return True
-            if cols[a][s] > cols[a][t]:
-                return False
-        return False
-
-    swap_pairs = []
-    for s in range(rel.row_count):
-        for t in range(rel.row_count):
-            if less(s, t, lhs) and less(t, s, rhs):
-                swap_pairs.append((s + 1, t + 1))
+    lk, rk = _row_keys(rel, od.lhs), _row_keys(rel, od.rhs)
+    rows = range(rel.row_count)
+    # Generated in (s, t) order, so already sorted.
+    swap_pairs = tuple((s + 1, t + 1) for s in rows for t in rows if lk[s] < lk[t] and rk[t] < rk[s])
     if swap_pairs:
-        out.append(ViolationReport("swap", tuple(od.lhs), tuple(od.rhs), tuple(sorted(swap_pairs))))
+        out.append(ViolationReport("swap", tuple(od.lhs), tuple(od.rhs), swap_pairs))
     return tuple(out)
 
 

@@ -67,6 +67,20 @@ def brute_validate_canonical(rel, od) -> bool:
     return True
 
 
+def lex_leq(rel, s: int, t: int, spec) -> bool:
+    """Row s precedes-or-ties row t under the lexicographic spec,
+    compared on raw values."""
+    key = _value_key(rel)
+    for a in spec:
+        col = rel.raw_column(a)
+        ks, kt = key(col[s]), key(col[t])
+        if ks < kt:
+            return True
+        if ks > kt:
+            return False
+    return True
+
+
 def brute_validate_list(rel, od: ListOD) -> bool:
     """Pairwise check of a list dependency on raw values."""
     key = _value_key(rel)

@@ -26,10 +26,9 @@ from ordep import (
     find_swaps,
     map_list_to_canonical,
     parse_od,
-    satisfies_list_od,
     validate_canonical,
 )
-from ordep.oracle import brute_discover, brute_validate_canonical
+from ordep.oracle import brute_discover, brute_validate_canonical, brute_validate_list
 from ordep.partitions import partition_set, partition_single, sorted_partition
 
 from helpers import random_relation, random_int_relation
@@ -183,7 +182,7 @@ def test_criterion_06():
                 lhs = rng.sample(names, rng.randint(0, min(3, len(names))))
                 rhs = rng.sample(names, rng.randint(0, min(3, len(names))))
                 od = ListOD(tuple(lhs), tuple(rhs))
-                direct = satisfies_list_od(rel, od)
+                direct = brute_validate_list(rel, od)
                 mapped = all(
                     validate_canonical(rel, c) for c in map_list_to_canonical(od)
                 )

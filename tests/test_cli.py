@@ -1,6 +1,9 @@
+import hashlib
 import json
+from itertools import permutations
+from pathlib import Path
 
-from ordep import discover, discover_unpruned
+from ordep import cli, discover, discover_unpruned
 from ordep.cli import main
 
 
@@ -119,6 +122,39 @@ def test_validate_invalid_with_witnesses(capsys, taxes_csv, taxes_schema_file):
     assert code == 1
     assert "invalid: {position}: [] |-> salary" in out
     assert "(1,4) (2,5) (3,6)" in out
+
+
+# sha256 over `validate OD --witnesses` for every list dependency on the
+# taxes table whose sides (each without repeats) hold at most three
+# attributes between them, 2,548 in all, lhs-major in the order of
+# `permutations` over the schema's names: per dependency, the exit code
+# and stdout of the JSON report, then of the text report.  Taken from the
+# pairwise list check that preceded validation through the canonical
+# mapping.
+GOLDEN_LIST_VALIDATE_DIGEST = "108ff67afe5810bd844e24705538420c727c479715e5d2d898cc70cd5800c270"
+
+
+def test_list_validation_matches_golden_digest(capsys, monkeypatch, taxes, taxes_csv):
+    # Relative paths, so the reports do not depend on the checkout's location.
+    monkeypatch.chdir(Path(taxes_csv).parent)
+    # The flags are parsed once per format: on six rows argparse would
+    # otherwise take most of each call.
+    base = ["validate", "", "--input", "taxes.csv", "--schema", "taxes.schema.json", "--witnesses"]
+    parsed = [cli._build_parser().parse_args(base + ["--format", fmt]) for fmt in ("json", "text")]
+    sides = [p for k in range(4) for p in permutations(taxes.schema.names, k)]
+    h = hashlib.sha256()
+    count = 0
+    for lhs in sides:
+        for rhs in sides:
+            if len(lhs) + len(rhs) > 3:
+                continue
+            for args in parsed:
+                args.od = f"[{','.join(lhs)}] -> [{','.join(rhs)}]"
+                code = cli._cmd_validate(args)
+                h.update(f"{code}\n{capsys.readouterr().out}".encode())
+            count += 1
+    assert count == 2548
+    assert h.hexdigest() == GOLDEN_LIST_VALIDATE_DIGEST
 
 
 def test_validate_oracle_agrees(capsys, taxes_csv, taxes_schema_file):

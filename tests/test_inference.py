@@ -116,6 +116,9 @@ def test_chain_respects_length_limit():
     target = oc("", "A", "C")
     assert not derives(s, target, DerivationLimit(1, max_chain_length=1))
     assert derives(s, target, DerivationLimit(1, max_chain_length=2))
+    # The chain step lists its links in path order, then XBi: A ~ C per middle.
+    path = derive_with_trace(s, target, DerivationLimit(1, max_chain_length=2))
+    assert path[-1] == (target, "chain", tuple(premises))
 
 
 def test_context_cap_blocks_augmentation():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,12 +11,16 @@ from ordep import (
     OrderCompatOD,
     Relation,
     Schema,
+    ViolationReport,
     brute_discover,
     brute_validate_canonical,
     brute_validate_list,
     discover,
+    find_splits,
+    lex_leq,
     satisfies_list_od,
     validate_canonical,
+    violations,
 )
 
 from helpers import random_relation
@@ -29,6 +34,22 @@ def draw_canonical(rng, rel):
         return ConstantOD(ctx, rng.choice(rest))
     a, b = rng.sample(rest, 2)
     return OrderCompatOD(ctx, a, b)
+
+
+def draw_list_side(rng, names):
+    """Up to len(names) attributes; half the time drawn with replacement,
+    so a side may repeat attributes as well as overlap the other side."""
+    k = rng.randint(0, len(names))
+    if rng.random() < 0.5:
+        return tuple(rng.sample(names, k))
+    return tuple(rng.choice(names) for _ in range(k))
+
+
+def test_lex_leq_orders_nulls_by_policy():
+    first = Relation.from_columns(Schema((("a", "integer"),), "nulls_first"), [[None, 1]])
+    last = Relation.from_columns(Schema((("a", "integer"),), "nulls_last"), [[None, 1]])
+    assert lex_leq(first, 0, 1, ["a"]) and not lex_leq(first, 1, 0, ["a"])
+    assert lex_leq(last, 1, 0, ["a"]) and not lex_leq(last, 0, 1, ["a"])
 
 
 def test_brute_validate_canonical_taxes(taxes):
@@ -53,11 +74,46 @@ def test_brute_list_agrees_with_rank_check():
     for _ in range(300):
         rel = random_relation(rng, max_attrs=4, max_rows=10, with_nulls=rng.random() < 0.5)
         names = list(rel.schema.names)
-        od = ListOD(
-            tuple(rng.sample(names, rng.randint(0, rel.attr_count))),
-            tuple(rng.sample(names, rng.randint(0, rel.attr_count))),
-        )
+        od = ListOD(draw_list_side(rng, names), draw_list_side(rng, names))
         assert brute_validate_list(rel, od) == satisfies_list_od(rel, od)
+
+
+def test_list_violations_match_the_pairwise_definition():
+    # Split pairs: equal on lhs, unequal on rhs.  Swap pairs: strictly
+    # ordered one way by lhs and the other way by rhs.  Both read raw
+    # values through lex_leq, not the rank encoding violations uses.
+    rng = random.Random(37)
+    kinds = {"split": 0, "swap": 0}
+    for _ in range(250):
+        rel = random_relation(rng, max_attrs=4, max_rows=10, with_nulls=True)
+        names = list(rel.schema.names)
+        od = ListOD(draw_list_side(rng, names), draw_list_side(rng, names))
+        rows = range(rel.row_count)
+
+        def ties(s, t, spec):
+            return lex_leq(rel, s, t, spec) and lex_leq(rel, t, s, spec)
+
+        splits = tuple(
+            (s + 1, t + 1)
+            for s, t in combinations(rows, 2)
+            if ties(s, t, od.lhs) and not ties(s, t, od.rhs)
+        )
+        swaps = tuple(
+            (s + 1, t + 1)
+            for s in rows
+            for t in rows
+            if not lex_leq(rel, t, s, od.lhs) and not lex_leq(rel, s, t, od.rhs)
+        )
+        assert splits == find_splits(rel, od.lhs, [a for a in od.rhs if a not in od.lhs])
+        want = tuple(
+            ViolationReport(kind, od.lhs, od.rhs, pairs)
+            for kind, pairs in (("split", splits), ("swap", swaps))
+            if pairs
+        )
+        assert violations(rel, od) == want
+        for report in want:
+            kinds[report.kind] += 1
+    assert kinds["split"] > 50 and kinds["swap"] > 50
 
 
 def test_null_policy_changes_verdicts():
