@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 from .discovery import discover, discover_unpruned
 from .errors import BudgetExceededError, OrdepError
@@ -57,7 +58,34 @@ class RunReport:
             doc["input"] = self.input
         doc["flags"] = self.flags
         doc.update(self.results)
-        return json.dumps(doc, indent=2) + "\n"
+        return _dumps(doc) + "\n"
+
+
+def _dumps(obj, indent="\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for report documents
+    (string keys).  With indent, json.dumps runs CPython's pure-Python
+    encoder, which takes seconds over the 10^5 witness pairs a report
+    can list; here each integer pair is rendered by one format."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_quote(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in obj):
+            deeper = inner + "  "
+            items = [f"[{deeper}{s},{deeper}{t}{inner}]" for s, t in obj]
+        else:
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if type(obj) is str:
+        return _quote(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    return json.dumps(obj)
 
 
 def _int_at_least(low):
@@ -345,7 +373,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OrdepError, OSError, json.JSONDecodeError) as exc:
+    except (OrdepError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -184,24 +184,31 @@ def _od_key(od):
 def _find_chain(ocs, X, A, C, mids, max_len):
     """First premise tuple proving X: A ~ C through <= max_len middles.
 
-    A candidate is dropped at its first premise missing from ocs, before
-    the rest are built."""
+    Only middles m with X: A ~ m in ocs can start a chain, so they are
+    found once; a candidate is dropped at its first premise missing from
+    ocs, before the rest are built.  Candidates come in the order of
+    permutations(mids, n) for n = 1, 2, ..."""
+    starts = [(m, OrderCompatOD(X, A, m)) for m in mids]
+    starts = [(m, link) for m, link in starts if link in ocs]
     for n in range(1, max_len + 1):
-        for seq in permutations(mids, n):
-            premises = []
-            for p in _chain_premises(X, A, C, seq):
-                if p not in ocs:
-                    break
-                premises.append(p)
-            else:
-                return tuple(premises)
+        for first, link in starts:
+            rest = [m for m in mids if m != first]
+            for tail in permutations(rest, n - 1):
+                premises = [link]
+                for p in _chain_premises(X, A, C, (first, *tail)):
+                    if p not in ocs:
+                        break
+                    premises.append(p)
+                else:
+                    return tuple(premises)
     return None
 
 
 def _chain_premises(X, A, C, seq):
-    """The chain rule's premises for middles seq, in order: the links
-    A ~ seq[0] ~ ... ~ seq[-1] ~ C over X, then XBi: A ~ C per middle."""
-    path = (A, *seq, C)
+    """The chain rule's premises for middles seq after the first link
+    X: A ~ seq[0], in order: the links seq[0] ~ ... ~ seq[-1] ~ C over
+    X, then XBi: A ~ C per middle."""
+    path = (*seq, C)
     for u, v in zip(path, path[1:]):
         yield OrderCompatOD(X, u, v)
     for m in seq:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date
+from operator import itemgetter
 
 from .errors import ParseError, SchemaError
 
@@ -98,8 +100,20 @@ class Schema:
         return json.dumps(doc, indent=2)
 
 
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
 def parse_value(text: str, typ: str):
-    """Parse one CSV field under the declared type. Empty field is null."""
+    """Parse one CSV field under the declared type. Empty field is null.
+
+    Text holding lone surrogates (bytes that were not UTF-8, read with
+    errors="surrogateescape") is rejected under every type.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"not valid UTF-8: {text!r}") from None
     if text == "":
         return None
     if typ == "integer":
@@ -117,10 +131,13 @@ def parse_value(text: str, typ: str):
             raise ParseError("NaN is not allowed")
         return val
     if typ == "date":
-        try:
-            return date.fromisoformat(text)
-        except ValueError:
-            raise ParseError(f"not an ISO date: {text!r}")
+        # Python 3.11+ fromisoformat also takes 20200101, 2020-W01-1, ...
+        if _ISO_DATE.fullmatch(text):
+            try:
+                return date.fromisoformat(text)
+            except ValueError:
+                pass
+        raise ParseError(f"not an ISO date: {text!r}")
     return text
 
 
@@ -224,79 +241,139 @@ class Relation:
         return cls.from_columns(schema, cols)
 
 
+def _read_records(path):
+    """Every CSV record of a UTF-8 file, plus a ParseError naming the
+    record the csv module could not read (a field over
+    csv.field_size_limit(), say), or None when all were read.
+
+    Bytes that are not UTF-8 become lone surrogates, which parse_value
+    rejects, so they are reported like any bad cell, with row and column.
+    """
+    records = []
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for fields in csv.reader(fh):
+                records.append(fields)
+        except csv.Error as exc:
+            return records, ParseError(f"unreadable CSV record: {exc}", row=len(records) + 1)
+    return records, None
+
+
 def load_csv(path, schema: Schema, has_header: bool = True) -> Relation:
     """Load an RFC-4180 CSV file under a declared schema.
 
     With a header, columns are matched to schema attributes by name (any
     file order); without one, positionally.  Every data row must have
     exactly one field per attribute.  Empty fields are nulls.
+
+    Work is done column by column: each distinct text of a column is
+    parsed once, the distinct values are ranked once, and every cell is
+    mapped through text -> rank and text -> value.  Texts that parse to
+    equal values ("1", "01") share a rank, and each row keeps its own
+    parsed value.  Errors are those of a row-major scan: the first bad
+    row wins (wrong width, unreadable record, or a cell that does not
+    parse), then its first bad column in schema order; a null under the
+    reject policy is reported only when nothing else is wrong.
     """
     names = schema.names
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        order = list(range(len(names)))
-        start_row = 1
-        if has_header:
+    records, stop = _read_records(path)
+    order = list(range(len(names)))
+    start_row = 1
+    if has_header:
+        if not records:
+            raise stop or ParseError("file is empty but a header was expected")
+        header = records[0]
+        dupes = {h for h in header if header.count(h) > 1}
+        if dupes:
+            raise ParseError(f"duplicate header names: {sorted(dupes)}", row=1)
+        if set(header) != set(names):
+            raise ParseError(
+                f"header {header} does not match schema attributes {list(names)}",
+                row=1,
+            )
+        order = [header.index(n) for n in names]
+        del records[0]
+        start_row = 2
+    for r, fields in enumerate(records):
+        if len(fields) != len(names):
+            stop = ParseError(f"expected {len(names)} fields, got {len(fields)}", row=start_row + r)
+            del records[r:]
+            break
+    texts = [tuple(map(itemgetter(j), records)) for j in order]
+    del records
+
+    # Distinct texts come in first-occurrence order, so the first text a
+    # column fails on sits in that column's earliest bad row.
+    values = []
+    bad = []
+    for i, col in enumerate(texts):
+        parsed = {}
+        for text in dict.fromkeys(col):
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("file is empty but a header was expected")
-            dupes = {h for h in header if header.count(h) > 1}
-            if dupes:
-                raise ParseError(f"duplicate header names: {sorted(dupes)}", row=1)
-            if set(header) != set(names):
-                raise ParseError(
-                    f"header {header} does not match schema attributes {list(names)}",
-                    row=1,
-                )
-            order = [header.index(n) for n in names]
-            start_row = 2
-        raw_rows = []
-        for lineno, fields in enumerate(reader, start=start_row):
-            if len(fields) != len(names):
-                raise ParseError(
-                    f"expected {len(names)} fields, got {len(fields)}", row=lineno
-                )
-            row = []
-            for i in range(len(names)):
-                text = fields[order[i]]
-                try:
-                    row.append(parse_value(text, schema.type_of(i)))
-                except ParseError as exc:
-                    raise ParseError(exc.args[0], row=lineno, column=names[i]) from None
-            raw_rows.append(row)
-    try:
-        return Relation.from_rows(schema, raw_rows)
-    except ParseError as exc:
-        raise ParseError(f"encoding failed: {exc}") from exc
+                parsed[text] = parse_value(text, schema.type_of(i))
+            except ParseError as exc:
+                bad.append((col.index(text), i, exc.args[0]))
+                break
+        values.append(parsed)
+    if bad:
+        r, i, message = min(bad)
+        raise ParseError(message, row=start_row + r, column=names[i])
+    if stop is not None:
+        raise stop
+
+    columns = []
+    for i, (col, parsed) in enumerate(zip(texts, values)):
+        try:
+            ranks = encode_ranks(list(parsed.values()), schema.type_of(i), schema.null_policy)
+        except ParseError as exc:
+            raise ParseError(f"encoding failed: {exc}") from exc
+        rank_of = dict(zip(parsed, ranks))
+        columns.append(tuple(map(rank_of.__getitem__, col)))
+    raw_columns = tuple(tuple(map(parsed.__getitem__, col)) for col, parsed in zip(texts, values))
+    return Relation(schema, len(texts[0]) if texts else 0, tuple(columns), raw_columns)
 
 
 def infer_schema(path, has_header: bool = True, null_policy: str = "nulls_first") -> Schema:
     """Guess a schema by trial parsing: integer, then float, date, text.
 
+    Each distinct non-empty text of a column is tried once per type.
     Convenience for the CLI; declared schemas are authoritative.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows, stop = _read_records(path)
     if not rows:
-        raise ParseError("cannot infer a schema from an empty file")
+        raise stop or ParseError("cannot infer a schema from an empty file")
     if has_header:
-        names, data = rows[0], rows[1:]
+        names, data, start_row = rows[0], rows[1:], 2
+        for name in names:
+            try:
+                parse_value(name, "text")
+            except ParseError as exc:
+                raise ParseError(exc.args[0], row=1) from None
     else:
         names = [f"c{i + 1}" for i in range(len(rows[0]))]
-        data = rows
+        data, start_row = rows, 1
     types = []
+    bad = []
     for i, name in enumerate(names):
-        cells = [r[i] for r in data if i < len(r) and r[i] != ""]
-        chosen = "text"
-        for cand in ("integer", "float", "date"):
+        texts = dict.fromkeys(r[i] for r in data if i < len(r))
+        texts.pop("", None)
+        for cand in ("integer", "float", "date", "text"):
             try:
-                for c in cells:
-                    parse_value(c, cand)
-            except ParseError:
+                for text in texts:
+                    parse_value(text, cand)
+            except ParseError as exc:
+                failed = (text, exc.args[0])
                 continue
-            chosen = cand
+            types.append((name, cand))
             break
-        types.append((name, chosen))
+        else:
+            # Only text that is not UTF-8 fails as text.
+            text, message = failed
+            r = next(r for r, row in enumerate(data) if i < len(row) and row[i] == text)
+            bad.append((r, i, message))
+    if bad:
+        r, i, message = min(bad)
+        raise ParseError(message, row=start_row + r, column=names[i])
+    if stop is not None:
+        raise stop
     return Schema(tuple(types), null_policy)

@@ -1,9 +1,11 @@
 """Seeded generators shared by the randomized tests."""
 
+import csv
 import random
 from datetime import date, timedelta
 
-from ordep import Relation, Schema
+from ordep import ParseError, Relation, Schema
+from ordep.relation import parse_value
 
 TYPE_POOL = ("integer", "integer", "float", "text", "date")
 
@@ -61,3 +63,72 @@ def random_int_relation(
         dom = rng.randint(1, max_domain)
         cols.append([rng.randrange(dom + 1) for _ in range(n_rows)])
     return Relation.from_columns(schema, cols)
+
+
+def load_csv_rowwise(path, schema: Schema, has_header: bool = True) -> Relation:
+    """Reference loader: a row-major scan that parses every cell with
+    parse_value and encodes through Relation.from_rows.  load_csv must
+    give the same relation, or raise the same ParseError."""
+    names = schema.names
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        order = list(range(len(names)))
+        start_row = 1
+        if has_header:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("file is empty but a header was expected")
+            dupes = {h for h in header if header.count(h) > 1}
+            if dupes:
+                raise ParseError(f"duplicate header names: {sorted(dupes)}", row=1)
+            if set(header) != set(names):
+                raise ParseError(
+                    f"header {header} does not match schema attributes {list(names)}",
+                    row=1,
+                )
+            order = [header.index(n) for n in names]
+            start_row = 2
+        raw_rows = []
+        for lineno, fields in enumerate(reader, start=start_row):
+            if len(fields) != len(names):
+                raise ParseError(f"expected {len(names)} fields, got {len(fields)}", row=lineno)
+            row = []
+            for i in range(len(names)):
+                try:
+                    row.append(parse_value(fields[order[i]], schema.type_of(i)))
+                except ParseError as exc:
+                    raise ParseError(exc.args[0], row=lineno, column=names[i]) from None
+            raw_rows.append(row)
+    try:
+        return Relation.from_rows(schema, raw_rows)
+    except ParseError as exc:
+        raise ParseError(f"encoding failed: {exc}") from exc
+
+
+def infer_schema_rowwise(path, has_header: bool = True, null_policy: str = "nulls_first") -> Schema:
+    """Reference schema guess: every non-empty cell of a column is
+    trial-parsed as integer, then float, then date; text otherwise."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("cannot infer a schema from an empty file")
+    if has_header:
+        names, data = rows[0], rows[1:]
+    else:
+        names = [f"c{i + 1}" for i in range(len(rows[0]))]
+        data = rows
+    types = []
+    for i, name in enumerate(names):
+        cells = [r[i] for r in data if i < len(r) and r[i] != ""]
+        chosen = "text"
+        for cand in ("integer", "float", "date"):
+            try:
+                for c in cells:
+                    parse_value(c, cand)
+            except ParseError:
+                continue
+            chosen = cand
+            break
+        types.append((name, chosen))
+    return Schema(tuple(types), null_policy)

@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import json
+import random
 from itertools import permutations
 from pathlib import Path
 
-from ordep import cli, discover, discover_unpruned
+from helpers import random_relation
+from ordep import ConstantOD, ListOD, OrderCompatOD, cli, discover, discover_unpruned, violations
 from ordep.cli import main
 
 
@@ -370,3 +373,64 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "discover" in out
+
+
+def test_report_json_matches_indented_json_dumps():
+    """RunReport renders witness pairs without json's pure-Python
+    encoder; the bytes must still be json.dumps(doc, indent=2)."""
+    rng = random.Random(1608)
+    for trial in range(300):
+        rel = random_relation(rng, max_rows=40, with_nulls=True)
+        names = rel.schema.names
+        a, b, c = rng.sample(range(rel.attr_count), 2) + [rng.randrange(rel.attr_count)]
+        od = rng.choice([
+            ConstantOD(frozenset({c}) - {a}, a),
+            OrderCompatOD(frozenset({c}) - {a, b}, a, b),
+            ListOD((a, c), (b,)),
+        ])
+        witnesses = [
+            {
+                "kind": v.kind,
+                "over": [names[i] for i in v.over],
+                "attrs": [names[i] for i in v.attrs],
+                "pairs": [list(p) for p in v.pairs],
+            }
+            for v in violations(rel, od)
+        ]
+        witnesses.append({"kind": "split", "over": [], "attrs": ["caf\u00e9"], "pairs": []})
+        results = {"od": "x", "valid": not witnesses[:-1], "witnesses": witnesses, "stats": None}
+        flags = {"seed": trial, "oracle": False, "ratio": trial / 7, "levels": [[1, 2, 3], []]}
+        report = cli.RunReport("validate", {"path": "t.csv", "rows": rel.row_count}, flags, results)
+        doc = {"command": "validate", "input": report.input, "flags": flags, **results}
+        assert report.to_json() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_undecodable_or_unreadable_input_exits_two(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a,b\n1,2\n\xff,4\n")
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f"a,b\n1,2\n{'1' * (csv.field_size_limit() + 8868)},4\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text('[{"name": "a", "type": "integer"}, {"name": "b", "type": "integer"}]')
+    for path, expected in ((latin1, "not valid UTF-8: '\\udcff' at row 3 column 'a'"),
+                           (huge, "unreadable CSV record: field larger than field limit")):
+        for argv in (
+            ["discover", "--input", str(path), "--schema", str(schema)],
+            ["discover", "--input", str(path), "--infer-schema"],
+            ["validate", "{}: a ~ b", "--input", str(path), "--schema", str(schema)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert_one_line_usage_error(code, err)
+            assert expected in err and out == "", argv
+    # Schema and premise files are read as UTF-8 too.
+    bad_schema = tmp_path / "latin1.schema.json"
+    bad_schema.write_bytes(b'[{"name": "a", "type": "integer"}, {"name": "b\xff", "type": "text"}]')
+    premises = tmp_path / "latin1.premises.json"
+    premises.write_bytes(b'{"ods": ["{}: a ~ b\xff"]}')
+    for argv in (
+        ["discover", "--input", str(latin1), "--schema", str(bad_schema)],
+        ["infer", "{}: a ~ b", "--premises", str(premises)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_one_line_usage_error(code, err)
+        assert "can't decode byte 0xff" in err and out == "", argv

@@ -1,8 +1,11 @@
+import csv
+import io
 import random
 from datetime import date
 
 import pytest
 
+from helpers import infer_schema_rowwise, load_csv_rowwise
 from ordep import ParseError, Relation, Schema, SchemaError, encode_ranks, infer_schema, load_csv
 from ordep.relation import parse_value
 
@@ -300,3 +303,154 @@ def test_infer_schema_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         infer_schema(path)
+
+
+def test_parse_value_date_is_exactly_yyyy_mm_dd():
+    assert parse_value("2020-01-01", "date") == date(2020, 1, 1)
+    # Python 3.11+ date.fromisoformat accepts these; 3.10 does not.
+    for text in ("20200101", "2020-W01-1", "2020-001", "2020-1-01", "2020-01-01 "):
+        with pytest.raises(ParseError, match="not an ISO date"):
+            parse_value(text, "date")
+
+
+def test_load_csv_merges_equal_values_and_keeps_raw_texts(tmp_path):
+    schema = Schema((("n", "integer"), ("x", "float")))
+    path = tmp_path / "merge.csv"
+    path.write_text('n,x\n1,-0.0\n01,0.0\n" 1",0\n2,-1\n')
+    rel = load_csv(path, schema)
+    assert rel.column("n") == (1, 1, 1, 2)
+    assert rel.column("x") == (2, 2, 2, 1)
+    assert [repr(v) for v in rel.raw_column("x")] == ["-0.0", "0.0", "0.0", "-1.0"]
+
+
+def load_error(path, schema, has_header=True):
+    with pytest.raises(ParseError) as err:
+        load_csv(path, schema, has_header)
+    return str(err.value), err.value.row, err.value.column
+
+
+def test_load_csv_reports_the_first_bad_row_then_column(tmp_path):
+    schema = Schema((("a", "integer"), ("b", "integer")), "reject")
+    path = tmp_path / "bad.csv"
+    # The file's column order is b, a; schema order decides within a row.
+    path.write_text("b,a\n1,\nx,y\n3\n")
+    assert load_error(path, schema)[1:] == (3, "a")
+    path.write_text("b,a\n1,2\n3\n,x\n")
+    assert load_error(path, schema)[:2] == ("expected 2 fields, got 1 at row 3", 3)
+    path.write_text("b,a\n1,\n2,3\n")
+    assert load_error(path, schema)[0] == "encoding failed: null value under reject policy"
+
+
+def test_load_csv_rejects_undecodable_bytes_as_a_bad_cell(tmp_path):
+    schema = Schema((("a", "integer"), ("b", "text")))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n3,caf\xe9\n\xff,4\n")
+    message, row, column = load_error(path, schema)
+    assert (row, column) == (3, "b")
+    assert message.startswith("not valid UTF-8")
+    path.write_bytes(b"a,b\n1,2\nx,\xff\n")
+    assert load_error(path, schema)[1:] == (3, "a")
+
+
+def test_unreadable_record_names_its_row_after_earlier_bad_cells(tmp_path):
+    schema = Schema((("a", "integer"), ("b", "text")))
+    path = tmp_path / "huge.csv"
+    big = "9" * (csv.field_size_limit() + 10)
+    path.write_text(f"a,b\n1,x\n2,{big}\n")
+    message, row, column = load_error(path, schema)
+    assert message.startswith("unreadable CSV record") and (row, column) == (3, None)
+    path.write_text(f"a,b\nq,x\n2,{big}\n")
+    assert load_error(path, schema)[1:] == (2, "a")
+    with pytest.raises(ParseError, match="unreadable CSV record.* at row 3"):
+        infer_schema(path)
+
+
+def test_infer_schema_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,x\n2,\xe9\n")
+    with pytest.raises(ParseError) as err:
+        infer_schema(path)
+    assert (err.value.row, err.value.column) == (3, "b")
+    path.write_bytes(b"a,\xe9\n1,x\n")
+    with pytest.raises(ParseError, match="row 1"):
+        infer_schema(path)
+
+
+# Field texts per type: valid ones (several merge to one value) and bad
+# ones.  A lone surrogate is written as the byte it escapes ("\udcff" is
+# 0xff), which is not UTF-8.
+GOOD_TEXTS = {
+    "integer": ["1", "01", " 1", "-0", "0", "+2", "2", "10", "1_0"],
+    "float": ["-0.0", "0.0", "0", "1.5", "1.50", "1e1", "10", "inf", "-inf", "2"],
+    "text": ["a", "b", "B", " a", "a,b", 'q"q', "caf\u00e9", "10", "2020-01-01"],
+    "date": ["2020-01-01", "2020-01-02", "2019-12-31", "2020-02-29"],
+}
+BAD_TEXTS = {
+    "integer": ["x", "1.5", "\udcff"],
+    "float": ["nan", "abc", "-nan"],
+    "text": ["\udcff", "x\udce9"],
+    "date": ["20200101", "2020-W01-1", "2020-13-01", "2021-02-29"],
+}
+
+
+def random_csv(rng):
+    """A small CSV (bytes), its schema and header flag, drawn to hit
+    every error kind at random positions in some files."""
+    k = rng.randint(1, 4)
+    types = [rng.choice(sorted(GOOD_TEXTS)) for _ in range(k)]
+    policy = rng.choice(("nulls_first", "nulls_last", "reject"))
+    schema = Schema(tuple((f"a{i}", t) for i, t in enumerate(types)), policy)
+    has_header = rng.random() < 0.7
+    order = rng.sample(range(k), k) if has_header else list(range(k))
+    p_null = rng.choice((0, 0.1, 0.3))
+    p_bad = rng.choice((0, 0, 0.02, 0.1))
+    p_ragged = rng.choice((0, 0, 0.05))
+    pools = [rng.sample(GOOD_TEXTS[t], rng.randint(1, len(GOOD_TEXTS[t]))) for t in types]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if has_header:
+        writer.writerow([f"a{j}" for j in order])
+    for _ in range(rng.randint(0, 12)):
+        cells = {}
+        for i, t in enumerate(types):
+            if rng.random() < p_bad:
+                cells[i] = rng.choice(BAD_TEXTS[t])
+            elif rng.random() < p_null:
+                cells[i] = ""
+            else:
+                cells[i] = rng.choice(pools[i])
+        fields = [cells[j] for j in order]
+        if rng.random() < p_ragged:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["1"]
+        writer.writerow(fields)
+    return out.getvalue().encode("utf-8", "surrogateescape"), schema, has_header
+
+
+def outcome(load, *args):
+    try:
+        rel = load(*args)
+    except ParseError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    typed_raw = tuple(tuple((type(v), repr(v)) for v in col) for col in rel.raw_columns)
+    return (rel.schema, rel.row_count, rel.columns, typed_raw)
+
+
+def test_load_csv_matches_rowwise_reference(tmp_path):
+    rng = random.Random(2016)
+    path = tmp_path / "fuzz.csv"
+    errors = 0
+    for _ in range(1200):
+        data, schema, has_header = random_csv(rng)
+        path.write_bytes(data)
+        expected = outcome(load_csv_rowwise, path, schema, has_header)
+        assert outcome(load_csv, path, schema, has_header) == expected, data
+        errors += expected[0] == "error"
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(ParseError, match="not valid UTF-8"):
+                infer_schema(path, has_header)
+            continue
+        if data:
+            assert infer_schema(path, has_header) == infer_schema_rowwise(path, has_header), data
+    assert 200 < errors < 1000
