@@ -37,6 +37,26 @@ whichever node it is built, a check reads the partition an eager
 traversal would have read, so every check, superkey test and emitted
 dependency is the same; only the number of products taken differs.
 
+A failed check leaves behind the pair of rows that falsifies it, kept
+as its agree mask: the attributes on which the two rows are equal.
+The pair that splits A, or that orders A and B oppositely, does so
+under every context inside its agree mask, so a later check of the same
+attribute or pair over such a context is answered "invalid" before its
+partition is read or built.  Only the maximal masks of each attribute
+and each pair are kept, since a mask covers every context its subsets
+cover.  This is the negative cover of HyFD (Papenbrock and Naumann,
+SIGMOD 2016), used only to refute: a check that no stored mask covers
+scans its partition as before, so nothing is ever found valid this
+way, and every answer is the one the scan would give.  A refuted check
+still counts as a constant or swap check.  It skips the superkey test,
+which could not have fired: the two rows differ on A, so they are
+distinct, and they agree on the context, so the context's partition
+holds them in one class and is not a superkey.  Without pruning there
+is no superkey test to skip.  Candidate sets, emission order and every
+statistic are therefore those of a run that scans every check; only
+the partitions built differ, and a node's generators may be held
+longer.
+
 Only distinct rows enter the lattice.  Both canonical forms are defined
 on pairs of rows: a split is a pair that agrees on the context and
 differs on A, a swap a pair that agrees on the context and orders A and
@@ -67,14 +87,19 @@ from itertools import combinations, groupby
 
 from .odmodel import ConstantOD, OrderCompatOD
 from .partitions import (
-    check_constant,
-    check_order_compatible,
     class_labels,
     empty_context_partition,
     partition_single,
     product,
     sorted_partition,
 )
+
+# The lattice needs the falsifying pair, not just the verdict.  The two
+# scans are bound to the names of the boolean checks they underlie
+# because perfbench/spans.py times and counts the checks by wrapping
+# exactly these two module attributes.
+from .partitions import first_split as check_constant
+from .partitions import first_swap as check_order_compatible
 from .relation import Relation
 
 
@@ -194,6 +219,13 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
             built += 1
         return part
 
+    def agree_mask(s, t):
+        return sum(1 << i for i, col in enumerate(cols) if col[s] == col[t])
+
+    # Agree masks of the falsifying pairs found so far: splits[a] for
+    # constants on a, swaps[a][b] for compatibilities of a and b.
+    splits = [[] for _ in range(n_attrs)]
+    swaps = [[[] for _ in range(n_attrs)] for _ in range(n_attrs)]
     ods = []
     level_stats: list[LevelStats] = []
 
@@ -233,17 +265,22 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                 if not const_cands & bit:
                     continue
                 ctx = parents[X ^ bit]
+                masks = splits[a]
+                if _refuted(masks, ctx.mask):
+                    stats.constant_checks += 1
+                    continue
                 part = partition(ctx)
                 if prune and part.is_superkey():
                     stats.keys_found += 1
-                    valid = True
                 else:
                     stats.constant_checks += 1
-                    valid = check_constant(part, cols[a])
-                if valid:
-                    ods.append(ConstantOD(frozenset(ctx.members), a))
-                    stats.ods_found += 1
-                    const_cands &= X ^ bit
+                    split = check_constant(part, cols[a])
+                    if split is not None:
+                        _remember(masks, agree_mask(*split))
+                        continue
+                ods.append(ConstantOD(frozenset(ctx.members), a))
+                stats.ods_found += 1
+                const_cands &= X ^ bit
             node.const_cands = const_cands
             oc_cands = node.oc_cands
             for a, b in sorted(oc_cands):
@@ -252,6 +289,10 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                     oc_cands.discard((a, b))
                     continue
                 ctx = grandparents[X ^ bit_a ^ bit_b]
+                masks = swaps[a][b]
+                if _refuted(masks, ctx.mask):
+                    stats.swap_checks += 1
+                    continue
                 part = partition(ctx)
                 if prune and part.is_superkey():
                     # Valid over a superkey context, but never minimal.
@@ -259,10 +300,13 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                     oc_cands.discard((a, b))
                     continue
                 stats.swap_checks += 1
-                if check_order_compatible(part, taus[a], cols[b]):
-                    ods.append(OrderCompatOD(frozenset(ctx.members), a, b))
-                    stats.ods_found += 1
-                    oc_cands.discard((a, b))
+                swap = check_order_compatible(part, taus[a], cols[b])
+                if swap is not None:
+                    _remember(masks, agree_mask(*swap))
+                    continue
+                ods.append(OrderCompatOD(frozenset(ctx.members), a, b))
+                stats.ods_found += 1
+                oc_cands.discard((a, b))
 
         # Drop nodes that can no longer contribute.
         if prune and level >= 2:
@@ -291,6 +335,24 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
         distinct_rows=rel.row_count,
         partitions_built=built,
     )
+
+
+def _refuted(masks, ctx_mask) -> bool:
+    """True iff some stored agree mask covers the context: its pair of
+    rows agrees on every attribute of the context."""
+    for m in masks:
+        if not ctx_mask & ~m:
+            return True
+    return False
+
+
+def _remember(masks, new) -> None:
+    """Add agree mask `new` to `masks` and drop the masks it contains,
+    which cover no context it does not.  No stored mask contains `new`:
+    it comes from a check that none of them refuted, and it covers that
+    check's context."""
+    masks[:] = [m for m in masks if m & ~new]
+    masks.append(new)
 
 
 def _joins(order, nodes):

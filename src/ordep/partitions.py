@@ -162,24 +162,30 @@ def product(
     return StrippedPartition(tuple(out), p.row_count)
 
 
-def check_constant(context: StrippedPartition, ranks) -> bool:
-    """True iff the ranked column is single-valued inside every class."""
+def first_split(context: StrippedPartition, ranks):
+    """The first pair of rows (s, t) that share a class of the context
+    but differ on the ranked column, or None when there is none."""
     for cls in context.classes:
-        first = ranks[cls[0]]
+        s = cls[0]
+        first = ranks[s]
         for t in cls:
             if ranks[t] != first:
-                return False
-    return True
+                return s, t
+    return None
 
 
-def check_order_compatible(context: StrippedPartition, tau_a: SortedPartition, b_ranks) -> bool:
-    """True iff no class of the context holds a swap between A and B.
+def first_swap(context: StrippedPartition, tau_a: SortedPartition, b_ranks):
+    """A pair of rows (s, t) that share a class of the context with s
+    strictly before t on A and strictly after it on B, or None when no
+    class holds such a swap.
 
     Within a class, rows are bucketed by their position in tau_a (the
     A-ordering); walking buckets in ascending A order, every B rank
     must be at least the largest B rank seen in strictly earlier
     buckets.  Ties on A impose no constraint, so a bucket is only
-    checked against earlier buckets, not against itself.
+    checked against earlier buckets, not against itself.  The first
+    bucket that breaks this fails the class, which is then rescanned
+    for the two rows that hold those B ranks.
     """
     pos = tau_a.position
     for cls in context.classes:
@@ -201,7 +207,18 @@ def check_order_compatible(context: StrippedPartition, tau_a: SortedPartition, b
         for p in sorted(buckets):
             mn, mx = buckets[p]
             if mn < max_before:
-                return False
+                s = next(t for t in cls if pos[t] < p and b_ranks[t] == max_before)
+                return s, next(t for t in cls if pos[t] == p and b_ranks[t] == mn)
             if mx > max_before:
                 max_before = mx
-    return True
+    return None
+
+
+def check_constant(context: StrippedPartition, ranks) -> bool:
+    """True iff the ranked column is single-valued inside every class."""
+    return first_split(context, ranks) is None
+
+
+def check_order_compatible(context: StrippedPartition, tau_a: SortedPartition, b_ranks) -> bool:
+    """True iff no class of the context holds a swap between A and B."""
+    return first_swap(context, tau_a, b_ranks) is None

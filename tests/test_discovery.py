@@ -232,10 +232,15 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     # candidate; level 2 finds {a1}: [] |-> a4 and {a4}: [] |-> a1, so
     # none holding both a1 and a4 does either.  That leaves {0,1,2} and
     # {0,2,4} as the only level-3 nodes with constant checks, and their
-    # six checks read the five level-2 partitions {0,1}, {0,2}, {1,2},
-    # {0,4} and {2,4}.  Every other check reads the root, a single
-    # attribute or one of those five, so five products are built.  Their
-    # left operands are {0} (three times), {1} and {2}: three label lists.
+    # six checks would read the five level-2 partitions {0,1}, {0,2},
+    # {1,2}, {0,4} and {2,4}.  Four of them are refuted by row pairs
+    # remembered from level 1: rows 0 and 2 split a0 and agree on
+    # {1,2,3,4}, and rows 0 and 1 split a1 and a4 and agree on {0,2,3}.
+    # The pairs that split a2, rows 2 and 3 over {a0} and rows 1 and 3
+    # over {a1}, agree on {0,3} and {1,3,4}, so a2 is checked over
+    # {0,1} and {0,4}.  Every other check reads the root or a single
+    # attribute, or is refuted, so two products are built, both with
+    # left operand {0}: one label list.
     labelled = []
     products = []
 
@@ -253,11 +258,59 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     monkeypatch.setattr(discovery, "product", checked_product)
     rel = int_relation([1, 1, 2, 2], [1, 2, 1, 2], [3, 3, 3, 4], [1, 1, 1, 1], [2, 1, 2, 1])
     res = discover_unpruned(rel)
-    assert len(products) == res.partitions_built == 5
-    assert len(labelled) == 3
+    assert len(products) == res.partitions_built == 2
+    assert len(labelled) == 1
     assert len(labelled) == len({id(p) for p in labelled})
     monkeypatch.undo()
     assert res.ods == discover_unpruned(rel).ods
+
+
+def test_refuting_from_remembered_pairs_changes_no_result(monkeypatch):
+    # The reference run never refutes: every check scans its partition.
+    # Refutation may only skip work, so answers, emission order and
+    # every statistic must match it.
+    refute = discovery._refuted
+    refuted = 0
+
+    def counting_refuted(masks, ctx_mask):
+        nonlocal refuted
+        hit = refute(masks, ctx_mask)
+        refuted += hit
+        return hit
+
+    def outcome(res):
+        return res.ods, res.stats, res.levels_processed, res.exhausted, res.distinct_rows
+
+    rng = random.Random(89)
+    runs = 0
+    for i in range(170):
+        rel = random_relation(rng, max_attrs=6, max_rows=24, with_nulls=i % 2 == 1)
+        if i % 3 == 0:
+            rel = _with_duplicates(rng, rel)
+        for run in (discover, discover_unpruned):
+            for max_level in (None, 2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(discovery, "_refuted", lambda masks, ctx_mask: False)
+                    ref = run(rel, max_level)
+                with monkeypatch.context() as m:
+                    m.setattr(discovery, "_refuted", counting_refuted)
+                    res = run(rel, max_level)
+                assert outcome(res) == outcome(ref)
+                assert res.partitions_built <= ref.partitions_built
+                runs += 1
+    assert runs >= 1_000
+    assert refuted > 1_000
+
+
+def test_remembered_masks_stay_maximal():
+    masks = []
+    for new in (0b0001, 0b0110, 0b1000, 0b0111):
+        discovery._remember(masks, new)
+    assert masks == [0b1000, 0b0111]
+    assert discovery._refuted(masks, 0b0101)
+    assert discovery._refuted(masks, 0)
+    assert not discovery._refuted(masks, 0b1001)
+    assert not discovery._refuted([], 0)
 
 
 def _with_duplicates(rng, rel):

@@ -2,17 +2,27 @@ import random
 
 import pytest
 
-from ordep import Relation, Schema, check_constant, check_order_compatible
+from ordep import (
+    ConstantOD,
+    OrderCompatOD,
+    Relation,
+    Schema,
+    brute_validate_canonical,
+    check_constant,
+    check_order_compatible,
+)
 from ordep.partitions import (
     class_labels,
     empty_context_partition,
+    first_split,
+    first_swap,
     partition_set,
     partition_single,
     product,
     sorted_partition,
 )
 
-from helpers import random_int_relation
+from helpers import random_int_relation, random_relation
 
 
 def int_relation(*cols):
@@ -162,6 +172,38 @@ def test_check_order_compatible_swap_hidden_by_context():
     tau = sorted_partition(rel, 1)
     assert check_order_compatible(split, tau, rel.column(2))
     assert not check_order_compatible(joined, tau, rel.column(2))
+
+
+def test_witness_scans_agree_with_oracle():
+    # A scan returns None exactly when the dependency holds, and
+    # otherwise a pair the oracle itself rejects: on the two-row
+    # relation of that pair alone the dependency fails, so the rows
+    # agree on the context and split on A, or order A and B oppositely.
+    rng = random.Random(83)
+    for _ in range(600):
+        rel = random_relation(rng, max_attrs=6, max_rows=16, with_nulls=True)
+        attrs = list(range(rel.attr_count))
+        a, b = rng.sample(attrs, 2)
+        ctx = rng.sample([x for x in attrs if x not in (a, b)], rng.randint(0, min(3, rel.attr_count - 2)))
+        part = partition_set(rel, ctx)
+        rows = list(zip(*rel.raw_columns))
+        for od, pair in (
+            (ConstantOD(ctx, a), first_split(part, rel.column(a))),
+            (OrderCompatOD(ctx, a, b), first_swap(part, sorted_partition(rel, a), rel.column(b))),
+        ):
+            assert (pair is None) == brute_validate_canonical(rel, od)
+            if pair is not None:
+                s, t = pair
+                assert s != t
+                assert not brute_validate_canonical(Relation.from_rows(rel.schema, [rows[s], rows[t]]), od)
+
+
+def test_first_swap_orders_its_pair_by_a():
+    rel = int_relation([7, 7, 7], [1, 1, 2], [5, 3, 4])
+    ctx = partition_set(rel, [0])
+    # row 0 (1,5) precedes row 2 (2,4) on the middle attribute
+    assert first_swap(ctx, sorted_partition(rel, 1), rel.column(2)) == (0, 2)
+    assert first_split(ctx, rel.column(2)) == (0, 1)
 
 
 def test_stripped_partition_orders_classes_by_head():
