@@ -8,34 +8,46 @@ carries the stripped partition over X plus two candidate sets:
   `X minus A: [] |-> A` might still be minimal (kept over the full
   schema, not just X, because a valid constant dependency also rules
   out every attribute outside X);
-* oc_cands: pairs (A, B) with A < B from X for which the compatibility
-  `X minus {A,B}: A ~ B` might still be minimal.
+* oc_cands: a bitmask over attribute pairs, bit a*n + b (n attributes)
+  standing for the pair (A, B) with A < B from X for which the
+  compatibility `X minus {A,B}: A ~ B` might still be minimal.
 
-Candidate sets shrink monotonically along the lattice: a node inherits
-the intersection (constants) or filtered union (pairs) of its parents',
-so work already ruled out below is never redone.  A node whose
-candidate sets are both empty can be deleted along with every superset,
-which provably removes no minimal dependency.
+Candidate sets shrink monotonically along the lattice, so work already
+ruled out below is never redone.  A node's constant candidates are the
+intersection of its parents'.  A pair is an OC candidate of X when it
+is one of every parent that holds both its attributes, so X's pair
+mask is the AND, over its members c, of the mask of the parent without
+c with every pair involving c added: that parent lets through each
+pair it cannot hold, and a pair with an attribute outside X is cleared
+by every parent whose removed attribute is not in the pair.  Walking
+the set bits in ascending order visits the pairs in lexicographic
+order.  A node whose candidate sets are both empty can be deleted along
+with every superset, which provably removes no minimal dependency.
 
 Partitions are built on demand.  A node above level 1 is generated by
-two nodes one level down that share all but their last attribute, and
-its partition is the product of theirs.  The node keeps the two
-generators instead of that product and takes it the first time the
-partition is read: by a constant check or superkey test over X, made at
-a node one level up; by an order compatibility check over X, made two
-levels up; or by the product of a node X generated.  It then drops the
-generators, so ancestors nothing else holds are freed.  Most nodes only
-ever feed candidate sets, so most products are never taken.  A left
-generator labels its rows once and keeps the labels for all its
-products.
+two nodes one level down that share all but their last attribute.  The
+node keeps the two generators and builds its partition the first time
+it is read: by a constant check or superkey test over X, made at a
+node one level up; by an order compatibility check over X, made two
+levels up; or while building a node X generated.  The partition is a
+generator's partition refined by the single attribute that generator
+lacks (the stripped-partition product of TANE, Huhtala et al. 1999,
+with a one-attribute operand): the left generator lacks X's last
+attribute, the right one its second-to-last.  A generator already
+built is used; when neither is, the left one is built first, the same
+way.  The node then drops the generators, so ancestors nothing else
+holds are freed.  Most nodes only ever feed candidate sets, so most
+partitions are never built.  Each attribute labels its rows at most
+once per run, the first time it refines a partition.
 
-The order in which products are forced cannot change any answer.  The
-stripped partition of an attribute set is unique: the groups of at
-least two rows that agree on the set, each ascending, ordered by first
-row, which is the form `product` returns.  Whenever and through
-whichever node it is built, a check reads the partition an eager
-traversal would have read, so every check, superkey test and emitted
-dependency is the same; only the number of products taken differs.
+The order in which partitions are built, and the generator each is
+refined from, cannot change any answer.  The stripped partition of an
+attribute set is unique: the groups of at least two rows that agree on
+the set, each ascending, ordered by first row, which is the form
+`product` returns.  Whenever and through whichever node it is built, a
+check reads the partition an eager traversal would have read, so every
+check, superkey test and emitted dependency is the same; only the
+number of products taken differs.
 
 A failed check leaves behind the pair of rows that falsifies it, kept
 as its agree mask: the attributes on which the two rows are equal.
@@ -159,19 +171,17 @@ class DiscoveryResult:
 class _Node:
     """A lattice node over the attribute set `mask`, whose set bits are
     `members` in ascending order.  Until its partition is read it holds
-    None there and the (left, right) nodes that generated it; `labels`
-    caches the partition's row labels once the node is a left operand."""
+    None there and the (left, right) nodes that generated it."""
 
-    __slots__ = ("mask", "members", "partition", "generators", "labels", "const_cands", "oc_cands")
+    __slots__ = ("mask", "members", "partition", "generators", "const_cands", "oc_cands")
 
     def __init__(self, mask, members, partition=None, generators=None):
         self.mask = mask
         self.members = members
         self.partition = partition
         self.generators = generators
-        self.labels = None
         self.const_cands = 0
-        self.oc_cands = set()
+        self.oc_cands = 0
 
 
 def discover(rel, max_level: int | None = None) -> DiscoveryResult:
@@ -205,19 +215,29 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
     cap = n_attrs if max_level is None else min(max_level, n_attrs)
     cols = rel.columns
     taus = [sorted_partition(rel, a) for a in range(n_attrs)]
+    singles = [partition_single(rel, a) for a in range(n_attrs)]
+    labels = [None] * n_attrs
     built = 0
 
     def partition(node):
         nonlocal built
-        part = node.partition
-        if part is None:
+        # Walk down to a built ancestor, through a built generator where
+        # there is one and the left one otherwise, then refine back up by
+        # the one attribute each step adds.
+        path = []
+        while node.partition is None:
+            path.append(node)
             left, right = node.generators
-            if left.labels is None:
-                left.labels = class_labels(partition(left))
-            part = node.partition = product(partition(left), partition(right), left.labels)
-            node.generators = None
-            built += 1
-        return part
+            node = right if left.partition is None and right.partition is not None else left
+        for child in reversed(path):
+            a = (child.mask ^ node.mask).bit_length() - 1
+            if labels[a] is None:
+                labels[a] = class_labels(singles[a])
+            child.partition = product(singles[a], node.partition, labels[a])
+            child.generators = None
+            node = child
+        built += len(path)
+        return node.partition
 
     def agree_mask(s, t):
         return sum(1 << i for i, col in enumerate(cols) if col[s] == col[t])
@@ -233,7 +253,12 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
     root.const_cands = (1 << n_attrs) - 1
     grandparents: dict[int, _Node] = {}
     parents: dict[int, _Node] = {0: root}
-    order = [_Node(1 << a, (a,), partition_single(rel, a)) for a in range(n_attrs)]
+    order = [_Node(1 << a, (a,), singles[a]) for a in range(n_attrs)]
+    # involving[c]: the bits of every pair that holds attribute c.
+    involving = [0] * n_attrs
+    for a, b in combinations(range(n_attrs), 2):
+        involving[a] |= 1 << (a * n_attrs + b)
+        involving[b] |= 1 << (a * n_attrs + b)
 
     level = 1
     exhausted = True
@@ -247,17 +272,14 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
             const_cands = -1
             for a in node.members:
                 const_cands &= parents[X ^ (1 << a)].const_cands
+            oc_cands = 0
             if level == 2:
-                node.oc_cands = {node.members}
+                a, b = node.members
+                oc_cands = 1 << (a * n_attrs + b)
             elif level > 2:
-                # A pair can only be a candidate of the l-2 parents
-                # that hold both its attributes, so it is one in all of
-                # them exactly when it is seen l-2 times.
-                seen: dict[tuple, int] = {}
-                for a in node.members:
-                    for pair in parents[X ^ (1 << a)].oc_cands:
-                        seen[pair] = seen.get(pair, 0) + 1
-                node.oc_cands = {pair for pair, n in seen.items() if n == level - 2}
+                oc_cands = -1
+                for c in node.members:
+                    oc_cands &= parents[X ^ (1 << c)].oc_cands | involving[c]
 
             # Validate the surviving candidates.
             for a in node.members:
@@ -282,11 +304,14 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                 stats.ods_found += 1
                 const_cands &= X ^ bit
             node.const_cands = const_cands
-            oc_cands = node.oc_cands
-            for a, b in sorted(oc_cands):
+            rest = oc_cands
+            while rest:
+                pair = rest & -rest
+                rest ^= pair
+                a, b = divmod(pair.bit_length() - 1, n_attrs)
                 bit_a, bit_b = 1 << a, 1 << b
                 if not (parents[X ^ bit_b].const_cands & bit_a and parents[X ^ bit_a].const_cands & bit_b):
-                    oc_cands.discard((a, b))
+                    oc_cands ^= pair
                     continue
                 ctx = grandparents[X ^ bit_a ^ bit_b]
                 masks = swaps[a][b]
@@ -297,7 +322,7 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                 if prune and part.is_superkey():
                     # Valid over a superkey context, but never minimal.
                     stats.keys_found += 1
-                    oc_cands.discard((a, b))
+                    oc_cands ^= pair
                     continue
                 stats.swap_checks += 1
                 swap = check_order_compatible(part, taus[a], cols[b])
@@ -306,7 +331,8 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
                     continue
                 ods.append(OrderCompatOD(frozenset(ctx.members), a, b))
                 stats.ods_found += 1
-                oc_cands.discard((a, b))
+                oc_cands ^= pair
+            node.oc_cands = oc_cands
 
         # Drop nodes that can no longer contribute.
         if prune and level >= 2:

@@ -21,6 +21,7 @@ and ordered by first row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def product(
             buckets[li] = None
             if len(rows) >= 2:
                 out.append(tuple(rows))
-    out.sort(key=lambda c: c[0])
+    out.sort(key=itemgetter(0))
     return StrippedPartition(tuple(out), p.row_count)
 
 

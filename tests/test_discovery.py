@@ -239,8 +239,9 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     # The pairs that split a2, rows 2 and 3 over {a0} and rows 1 and 3
     # over {a1}, agree on {0,3} and {1,3,4}, so a2 is checked over
     # {0,1} and {0,4}.  Every other check reads the root or a single
-    # attribute, or is refuted, so two products are built, both with
-    # left operand {0}: one label list.
+    # attribute, or is refuted, so two products are built.  Each
+    # refines the built generator {0} by the attribute it lacks, a1
+    # and a4, and labels that attribute's rows: two label lists.
     labelled = []
     products = []
 
@@ -259,7 +260,7 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     rel = int_relation([1, 1, 2, 2], [1, 2, 1, 2], [3, 3, 3, 4], [1, 1, 1, 1], [2, 1, 2, 1])
     res = discover_unpruned(rel)
     assert len(products) == res.partitions_built == 2
-    assert len(labelled) == 1
+    assert len(labelled) == 2
     assert len(labelled) == len({id(p) for p in labelled})
     monkeypatch.undo()
     assert res.ods == discover_unpruned(rel).ods
@@ -311,6 +312,92 @@ def test_remembered_masks_stay_maximal():
     assert discovery._refuted(masks, 0)
     assert not discovery._refuted(masks, 0b1001)
     assert not discovery._refuted([], 0)
+
+
+def test_each_attribute_labels_its_rows_at_most_once(monkeypatch):
+    # Every partition above level 1 is a built generator refined by one
+    # attribute, so the left operand of each product is a level-1
+    # partition and its labels are computed once per run.
+    singles, labelled, products = [], {}, []
+
+    def recording_single(rel, a):
+        p = partitions.partition_single(rel, a)
+        singles.append(p)
+        return p
+
+    def recording_labels(p):
+        assert id(p) not in labelled
+        labelled[id(p)] = partitions.class_labels(p)
+        return labelled[id(p)]
+
+    def checked_product(p, q, p_labels=None):
+        assert any(p is s for s in singles)
+        assert p_labels is labelled[id(p)]
+        products.append(p)
+        return partitions.product(p, q, p_labels)
+
+    monkeypatch.setattr(discovery, "partition_single", recording_single)
+    monkeypatch.setattr(discovery, "class_labels", recording_labels)
+    monkeypatch.setattr(discovery, "product", checked_product)
+    rng = random.Random(97)
+    relabelled = 0
+    for i in range(200):
+        rel = random_relation(rng, max_attrs=7, max_rows=30, with_nulls=i % 4 != 0)
+        if i % 2 == 0:
+            rel = _with_duplicates(rng, rel)
+        for run in (discover, discover_unpruned):
+            singles.clear()
+            labelled.clear()
+            products.clear()
+            res = run(rel)
+            assert len(singles) == rel.attr_count
+            assert len(labelled) <= rel.attr_count
+            assert len(products) == res.partitions_built
+            relabelled += len(products) - len(labelled)
+    # Most products reuse labels an earlier product computed.
+    assert relabelled > 1_000
+
+
+_DERIVED = (
+    lambda x, y: x // 2,
+    lambda x, y: 3 * x + y,
+    lambda x, y: x + y,
+    lambda x, y: max(x, y),
+    lambda x, y: -x,
+)
+
+
+def _derived_relation(rng):
+    """8-10 integer columns over 60-200 rows: a few random base columns,
+    the rest derived from earlier ones, in shuffled order.  Derived
+    columns keep order compatibilities valid over non-empty contexts,
+    so candidates survive to the upper levels."""
+    n_rows = rng.randint(60, 200)
+    cols = [[rng.randrange(rng.randint(2, 5)) for _ in range(n_rows)] for _ in range(rng.randint(3, 4))]
+    n_attrs = rng.randint(8, 10)
+    while len(cols) < n_attrs:
+        derive = rng.choice(_DERIVED)
+        x, y = rng.sample(cols, 2)
+        cols.append([derive(u, v) for u, v in zip(x, y)])
+    rng.shuffle(cols)
+    return int_relation(*cols)
+
+
+def test_wider_tables_match_the_oracle():
+    # The oracle takes one to a few seconds per table, so three tables
+    # of 10, 8 and 9 attributes: their lattices reach levels 5 to 7,
+    # and 133 of the OCs found have a context of two attributes.
+    rng = random.Random(6)
+    deep = levels = 0
+    for _ in range(3):
+        rel = _derived_relation(rng)
+        res = discover(rel)
+        assert res.ods == discover_unpruned(rel).ods
+        assert set(res.ods) == set(brute_discover(rel, OracleConfig(check_budget=100_000_000)))
+        deep += sum(1 for od in res.ods if isinstance(od, OrderCompatOD) and len(od.context) >= 2)
+        levels = max(levels, res.levels_processed)
+    assert deep >= 100
+    assert levels >= 7
 
 
 def _with_duplicates(rng, rel):
