@@ -253,7 +253,7 @@ def _cmd_validate(args) -> int:
                 "kind": v.kind,
                 "over": [rel.schema.names[a] for a in v.over],
                 "attrs": [rel.schema.names[a] for a in v.attrs],
-                "pairs": [list(p) for p in v.pairs],
+                "pairs": v.pairs,
             }
             for v in violations(rel, od_idx)
         ]
@@ -292,15 +292,23 @@ def _cmd_map(args) -> int:
 def _parse_premises(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "ods" not in doc:
-        raise OrdepError('premises file needs an object with an "ods" array')
+    if not isinstance(doc, dict) or not _is_strings(doc.get("ods")):
+        raise OrdepError('premises file needs an object with an "ods" array of strings')
     ods = [parse_od(t) for t in doc["ods"]]
     for od in ods:
         if isinstance(od, ListOD):
             raise OrdepError("premises must be canonical dependencies, not list form")
     mentioned = {a for od in ods for a in od_attrs(od)}
-    universe = frozenset(doc.get("universe", sorted(mentioned)))
-    return ODSet(universe, ods)
+    universe = doc.get("universe", sorted(mentioned))
+    if not _is_strings(universe):
+        raise OrdepError('premises "universe" must be an array of strings')
+    if not mentioned.issubset(universe):
+        raise OrdepError(f"premises use attributes outside the universe: {sorted(mentioned.difference(universe))}")
+    return ODSet(frozenset(universe), ods)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _cmd_infer(args) -> int:

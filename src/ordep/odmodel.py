@@ -14,7 +14,9 @@ A list dependency is decided through that equivalence only: it holds
 exactly when every member of its mapped set holds, and each member is
 checked on partitions.  The pairwise definitions on raw values live in
 `oracle`, which cross-checks this module.  Row pairs are enumerated here
-only to list witnesses (`find_splits`, `find_swaps`, `violations`).
+only to list witnesses (`find_splits`, `find_swaps`), one context class
+at a time, and a list dependency's witnesses are those of its mapping
+(`violations`).
 
 Attribute identifiers are deliberately generic: the discovery engine
 works with 0-based column indices, while parsed text and inference over
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .errors import ODSyntaxError
 from .partitions import partition_set, sorted_partition, check_constant, check_order_compatible
@@ -200,16 +203,10 @@ def order_compatible(rel, x, y) -> bool:
 
 def find_splits(rel, x, y) -> tuple[tuple[int, int], ...]:
     """All row pairs equal on x but unequal on y, as 1-based (s, t), s < t."""
-    yi = sorted(set(_resolve(rel, y)))
-    pairs = []
-    for rows in partition_set(rel, x).classes:
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                s, t = rows[i], rows[j]
-                if any(rel.columns[k][s] != rel.columns[k][t] for k in yi):
-                    pairs.append((s + 1, t + 1))
-    pairs.sort()
-    return tuple(pairs)
+    keys = _row_keys(rel, y)
+    classes = partition_set(rel, x).classes
+    pairs = [(s + 1, t + 1) for rows in classes for s, t in combinations(rows, 2) if keys[s] != keys[t]]
+    return tuple(sorted(pairs))
 
 
 def find_swaps(rel, context, a, b) -> tuple[tuple[int, int], ...]:
@@ -221,41 +218,51 @@ def find_swaps(rel, context, a, b) -> tuple[tuple[int, int], ...]:
     ca, cb = rel.column(a), rel.column(b)
     pairs = []
     for rows in partition_set(rel, context).classes:
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                s, t = rows[i], rows[j]
-                if ca[s] < ca[t] and cb[s] > cb[t]:
+        for s, t in combinations(rows, 2):
+            if ca[s] < ca[t]:
+                if cb[s] > cb[t]:
                     pairs.append((s + 1, t + 1))
-                elif ca[s] > ca[t] and cb[s] < cb[t]:
-                    pairs.append((t + 1, s + 1))
+            elif ca[s] > ca[t] and cb[s] < cb[t]:
+                pairs.append((t + 1, s + 1))
     pairs.sort()
     return tuple(pairs)
 
 
 def violations(rel, od) -> tuple[ViolationReport, ...]:
-    """Witness reports for a failed dependency of any form."""
-    if isinstance(od, ConstantOD):
-        pairs = find_splits(rel, od.context, [od.attr])
-        if not pairs:
-            return ()
-        return (ViolationReport("split", tuple(sorted(od.context)), (od.attr,), pairs),)
-    if isinstance(od, OrderCompatOD):
-        pairs = find_swaps(rel, od.context, od.a, od.b)
-        if not pairs:
-            return ()
-        return (ViolationReport("swap", tuple(sorted(od.context)), (od.a, od.b), pairs),)
-    # List form: splits against lhs->lhs+rhs, swaps against the two lists.
-    out = []
-    split_pairs = find_splits(rel, od.lhs, [a for a in od.rhs if a not in od.lhs])
-    if split_pairs:
-        out.append(ViolationReport("split", tuple(od.lhs), tuple(od.rhs), split_pairs))
-    lk, rk = _row_keys(rel, od.lhs), _row_keys(rel, od.rhs)
-    rows = range(rel.row_count)
-    # Generated in (s, t) order, so already sorted.
-    swap_pairs = tuple((s + 1, t + 1) for s in rows for t in rows if lk[s] < lk[t] and rk[t] < rk[s])
-    if swap_pairs:
-        out.append(ViolationReport("swap", tuple(od.lhs), tuple(od.rhs), swap_pairs))
-    return tuple(out)
+    """Witness reports for a failed dependency of any form: its split
+    pairs, then its swap pairs, each report present only when non-empty.
+
+    A list dependency's witnesses are those of its canonical mapping.
+    Its split pairs, equal on lhs but not on rhs, are the union of the
+    mapped constants' splits.  A swap is a pair (s, t) that lhs orders
+    strictly s first and rhs strictly t first.  Let lhs[i] and rhs[j]
+    be the first attributes of each list on which s and t differ: the
+    two rows share a class of lhs[:i] + rhs[:j], lhs[i] orders them one
+    way and rhs[j] the other.  So the pair is a swap of exactly one
+    mapped member, `{lhs[:i], rhs[:j]}: lhs[i] ~ rhs[j]` (non-trivial,
+    as the rows agree on its context and differ on both attributes),
+    and `find_swaps` orients it by lhs[i] as the list form does.
+    Conversely every such member's swap is a list swap.  The members'
+    swap sets are therefore disjoint and their union is the list's.
+    """
+    if isinstance(od, ListOD):
+        lhs, rhs = over, attrs = od.lhs, od.rhs
+        splits = find_splits(rel, lhs, [a for a in rhs if a not in lhs])
+        members = [(lhs[:i] + rhs[:j], x, y) for i, x in enumerate(lhs) for j, y in enumerate(rhs)]
+        swaps = sorted(
+            chain.from_iterable(find_swaps(rel, c, x, y) for c, x, y in members if not is_trivial(c, (x, y)))
+        )
+    elif isinstance(od, ConstantOD):
+        over, attrs = tuple(sorted(od.context)), (od.attr,)
+        splits, swaps = find_splits(rel, od.context, attrs), ()
+    else:
+        over, attrs = tuple(sorted(od.context)), (od.a, od.b)
+        splits, swaps = (), find_swaps(rel, od.context, od.a, od.b)
+    return tuple(
+        ViolationReport(kind, over, attrs, tuple(pairs))
+        for kind, pairs in (("split", splits), ("swap", swaps))
+        if pairs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,14 @@ class Schema:
         elif isinstance(doc, dict):
             attrs = doc.get("attributes")
             policy = doc.get("null_policy", "nulls_first")
-            if attrs is None:
-                raise SchemaError('schema object needs an "attributes" array')
         else:
             raise SchemaError("schema must be a JSON object or array")
+        if not isinstance(attrs, list):
+            raise SchemaError('schema object needs an "attributes" array')
         pairs = []
         for rec in attrs:
-            if not isinstance(rec, dict) or "name" not in rec or "type" not in rec:
-                raise SchemaError("each attribute record needs name and type")
+            if not isinstance(rec, dict) or not all(isinstance(rec.get(k), str) for k in ("name", "type")):
+                raise SchemaError("each attribute record needs a string name and type")
             pairs.append((rec["name"], rec["type"]))
         return cls(tuple(pairs), policy)
 

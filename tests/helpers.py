@@ -48,6 +48,13 @@ def random_relation(
     return Relation.from_columns(schema, cols)
 
 
+def with_duplicates(rng: random.Random, rel: Relation) -> Relation:
+    """rel's rows, each repeated 1-3 times, shuffled."""
+    rows = [row for row in zip(*rel.raw_columns) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    return Relation.from_rows(rel.schema, rows)
+
+
 def random_int_relation(
     rng: random.Random,
     max_attrs: int = 5,

@@ -311,12 +311,15 @@ def test_infer_schema_flag(capsys, taxes_csv):
 
 
 def test_usage_errors_exit_two(capsys, tmp_path, taxes_csv, taxes_schema_file):
+    bad_schema = tmp_path / "bad.schema.json"
+    bad_schema.write_text('{"attributes": [{"name": ["a"], "type": "integer"}]}')
     cases = [
         ["discover", "--input", taxes_csv],  # no schema source
         ["discover", "--input", str(tmp_path / "missing.csv"), "--infer-schema"],
         ["validate", "not an od", "--input", taxes_csv, "--schema", taxes_schema_file],
         ["frobnicate"],
         ["discover", "--input", taxes_csv, "--schema", taxes_schema_file, "--format", "yaml"],
+        ["discover", "--input", taxes_csv, "--schema", str(bad_schema)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -363,10 +366,22 @@ def test_infer_bad_premises_json(capsys, tmp_path):
     bad.write_text("{nope")
     assert main(["infer", "{}: A ~ B", "--premises", str(bad)]) == 2
     capsys.readouterr()
-    arr = tmp_path / "arr.json"
-    arr.write_text('["not an object"]')
-    assert main(["infer", "{}: A ~ B", "--premises", str(arr)]) == 2
-    capsys.readouterr()
+    malformed = [
+        ["not an object"],
+        {"ods": [5]},
+        {"ods": "{}: A ~ B"},
+        {"universe": 3, "ods": ["{}: A ~ B"]},
+        {"universe": "AB", "ods": ["{}: A ~ B"]},
+        {"universe": [1, "A"], "ods": ["{}: A ~ B"]},
+        {"universe": ["A"], "ods": ["{}: A ~ B"]},
+    ]
+    for doc in malformed:
+        premises = write_premises(tmp_path, doc)
+        code, out, err = run(capsys, "infer", "{}: A ~ B", "--premises", premises)
+        assert_one_line_usage_error(code, err)
+        assert out == "", doc
+    premises = write_premises(tmp_path, {"universe": ["A", "B", "C"], "ods": ["{}: A ~ B"]})
+    assert run(capsys, "infer", "{}: A ~ B", "--premises", premises)[:2] == (0, "yes: {}: A ~ B\n")
 
 
 def test_help_exits_zero(capsys):
@@ -393,7 +408,7 @@ def test_report_json_matches_indented_json_dumps():
                 "kind": v.kind,
                 "over": [names[i] for i in v.over],
                 "attrs": [names[i] for i in v.attrs],
-                "pairs": [list(p) for p in v.pairs],
+                "pairs": v.pairs,
             }
             for v in violations(rel, od)
         ]

@@ -18,7 +18,7 @@ from ordep import (
     validate_canonical,
 )
 
-from helpers import random_relation
+from helpers import random_relation, with_duplicates
 
 
 def int_relation(*cols):
@@ -287,7 +287,7 @@ def test_refuting_from_remembered_pairs_changes_no_result(monkeypatch):
     for i in range(170):
         rel = random_relation(rng, max_attrs=6, max_rows=24, with_nulls=i % 2 == 1)
         if i % 3 == 0:
-            rel = _with_duplicates(rng, rel)
+            rel = with_duplicates(rng, rel)
         for run in (discover, discover_unpruned):
             for max_level in (None, 2, 3):
                 with monkeypatch.context() as m:
@@ -344,7 +344,7 @@ def test_each_attribute_labels_its_rows_at_most_once(monkeypatch):
     for i in range(200):
         rel = random_relation(rng, max_attrs=7, max_rows=30, with_nulls=i % 4 != 0)
         if i % 2 == 0:
-            rel = _with_duplicates(rng, rel)
+            rel = with_duplicates(rng, rel)
         for run in (discover, discover_unpruned):
             singles.clear()
             labelled.clear()
@@ -400,13 +400,6 @@ def test_wider_tables_match_the_oracle():
     assert levels >= 7
 
 
-def _with_duplicates(rng, rel):
-    """rel's rows, each repeated 1-3 times, shuffled."""
-    rows = [row for row in zip(*rel.raw_columns) for _ in range(rng.randint(1, 3))]
-    rng.shuffle(rows)
-    return Relation.from_rows(rel.schema, rows)
-
-
 def _duplicate_row_cases():
     rng = random.Random(61)
     one = Schema((("a0", "integer"),))
@@ -419,7 +412,7 @@ def _duplicate_row_cases():
     yield Relation.from_rows(two, [(None, "x"), (2, None), (None, "x"), (1, "y"), (2, None)])
     for i in range(40):
         base = random_relation(rng, max_attrs=5, max_rows=10, with_nulls=i % 2 == 1)
-        yield _with_duplicates(rng, base)
+        yield with_duplicates(rng, base)
 
 
 def test_duplicate_rows_do_not_change_discovery(monkeypatch):

@@ -23,7 +23,7 @@ from ordep import (
     violations,
 )
 
-from helpers import random_relation
+from helpers import random_relation, with_duplicates
 
 
 def draw_canonical(rng, rel):
@@ -82,10 +82,18 @@ def test_list_violations_match_the_pairwise_definition():
     # Split pairs: equal on lhs, unequal on rhs.  Swap pairs: strictly
     # ordered one way by lhs and the other way by rhs.  Both read raw
     # values through lex_leq, not the rank encoding violations uses.
+    # The later draws are wider and hold repeated rows.  A swap that
+    # ties on lhs[0] or rhs[0] comes from a mapped member past the
+    # first; the test counts the draws with such a swap and at least
+    # two attributes on each side.
     rng = random.Random(37)
     kinds = {"split": 0, "swap": 0}
-    for _ in range(250):
-        rel = random_relation(rng, max_attrs=4, max_rows=10, with_nulls=True)
+    multi_member_swaps = 0
+    for draw in range(650):
+        if draw < 250:
+            rel = random_relation(rng, max_attrs=4, max_rows=10, with_nulls=True)
+        else:
+            rel = with_duplicates(rng, random_relation(rng, max_attrs=5, max_rows=8, with_nulls=True))
         names = list(rel.schema.names)
         od = ListOD(draw_list_side(rng, names), draw_list_side(rng, names))
         rows = range(rel.row_count)
@@ -113,7 +121,13 @@ def test_list_violations_match_the_pairwise_definition():
         assert violations(rel, od) == want
         for report in want:
             kinds[report.kind] += 1
+        multi_member_swaps += (
+            len(od.lhs) >= 2
+            and len(od.rhs) >= 2
+            and any(ties(s - 1, t - 1, od.lhs[:1]) or ties(s - 1, t - 1, od.rhs[:1]) for s, t in swaps)
+        )
     assert kinds["split"] > 50 and kinds["swap"] > 50
+    assert multi_member_swaps > 50
 
 
 def test_null_policy_changes_verdicts():

@@ -51,6 +51,14 @@ def test_schema_from_json_errors():
         Schema.from_json('[{"name": "x"}]')
     with pytest.raises(SchemaError):
         Schema.from_json('"just a string"')
+    for text in (
+        '{"attributes": 5}',
+        '{"attributes": {"name": "x", "type": "text"}}',
+        '[{"name": ["a"], "type": "integer"}]',
+        '{"attributes": [{"name": "x", "type": ["text"]}]}',
+    ):
+        with pytest.raises(SchemaError):
+            Schema.from_json(text)
 
 
 def test_schema_index_and_type_of():
