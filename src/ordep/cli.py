@@ -61,25 +61,36 @@ class RunReport:
         return _dumps(doc) + "\n"
 
 
+class _Pairs:
+    """Witness row pairs (s, t), two ints each, marked so that `_dumps`
+    renders them without inspecting their elements.  It wraps the
+    tuple rather than copying it: a list witness can hold 10^5 pairs."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+
 def _dumps(obj, indent="\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, for report documents
     (string keys).  With indent, json.dumps runs CPython's pure-Python
     encoder, which takes seconds over the 10^5 witness pairs a report
-    can list; here each integer pair is rendered by one format."""
+    can list; here each pair of a `_Pairs` is rendered by one format."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [f"{_quote(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in obj):
+    if isinstance(obj, (list, tuple, _Pairs)):
+        if type(obj) is _Pairs:
             deeper = inner + "  "
-            items = [f"[{deeper}{s},{deeper}{t}{inner}]" for s, t in obj]
+            items = [f"[{deeper}{s},{deeper}{t}{inner}]" for s, t in obj.pairs]
         else:
             items = [_dumps(v, inner) for v in obj]
+        if not items:
+            return "[]"
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if type(obj) is str:
         return _quote(obj)
@@ -253,7 +264,7 @@ def _cmd_validate(args) -> int:
                 "kind": v.kind,
                 "over": [rel.schema.names[a] for a in v.over],
                 "attrs": [rel.schema.names[a] for a in v.attrs],
-                "pairs": v.pairs,
+                "pairs": _Pairs(v.pairs),
             }
             for v in violations(rel, od_idx)
         ]
@@ -265,7 +276,7 @@ def _cmd_validate(args) -> int:
     else:
         sys.stdout.write(("valid" if valid else "invalid") + f": {results['od']}\n")
         for w in results.get("witnesses", []):
-            pairs = " ".join(f"({s},{t})" for s, t in w["pairs"])
+            pairs = " ".join(f"({s},{t})" for s, t in w["pairs"].pairs)
             sys.stdout.write(f"  {w['kind']} witnesses: {pairs}\n")
     return 0 if valid else 1
 

@@ -69,6 +69,29 @@ statistic are therefore those of a run that scans every check; only
 the partitions built differ, and a node's generators may be held
 longer.
 
+The lists do not start empty: before level 1 they are seeded from a
+sample of pairs of distinct rows, as in HyFD's sampling phase.  The
+sample pairs the first row with every other row, and each row with its
+neighbour in lexicographic order over the columns and over the columns
+reversed, which finds pairs that agree on a long prefix or suffix of
+the schema.  Each pair gives its agree mask and the mask of attributes
+on which its second row is greater, and each distinct pattern is kept
+once.  A pattern witnesses a split of A when A is outside its agree
+mask, and a swap of A and B when both are outside it and the second
+row is greater on exactly one of them.  Each list takes the agree masks
+of its witnesses, most agreeing attributes first, keeps those no
+earlier one contains, and stops at n masks for n attributes.  A seeded
+mask is thus the agree mask of a real split or swap of two distinct
+rows, exactly what a failed scan leaves behind, so the argument above
+holds unchanged: answers, emission order, `levels_processed`,
+`exhausted` and every statistic are those of an unseeded run, and only
+`partitions_built` and the work done differ.  The seeding costs two
+sorts of the N distinct rows, O(N log N * n), and a mask pair for each
+of the 3(N - 1) sampled pairs, O(N * n).  Each of the n(n + 1)/2 lists
+then filters the patterns at C level until it holds n masks, so no list
+grows beyond n and every later refutation test scans at most n seeded
+masks plus those learned during the walk.
+
 Only distinct rows enter the lattice.  Both canonical forms are defined
 on pairs of rows: a split is a pair that agrees on the context and
 differs on A, a swap a pair that agrees on the context and orders A and
@@ -95,7 +118,8 @@ either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, compress, groupby, islice, pairwise, repeat
+from operator import and_, eq, lt, mul
 
 from .odmodel import ConstantOD, OrderCompatOD
 from .partitions import (
@@ -242,10 +266,10 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
     def agree_mask(s, t):
         return sum(1 << i for i, col in enumerate(cols) if col[s] == col[t])
 
-    # Agree masks of the falsifying pairs found so far: splits[a] for
-    # constants on a, swaps[a][b] for compatibilities of a and b.
-    splits = [[] for _ in range(n_attrs)]
-    swaps = [[[] for _ in range(n_attrs)] for _ in range(n_attrs)]
+    # Agree masks of row pairs known to falsify a check: splits[a] for
+    # constants on a, swaps[a][b] for compatibilities of a and b.  They
+    # start from a sample of pairs and grow with every failed scan.
+    splits, swaps = _seed(cols)
     ods = []
     level_stats: list[LevelStats] = []
 
@@ -361,6 +385,65 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
         distinct_rows=rel.row_count,
         partitions_built=built,
     )
+
+
+def _seed(cols):
+    """Refutation lists (splits, swaps) from a sample of pairs of
+    distinct rows: the first row with every other, and the neighbours in
+    lexicographic order over the columns and over the columns reversed.
+    Each list takes the agree masks of the pairs that witness it, most
+    agreeing attributes first, and keeps at most one maximal mask per
+    attribute."""
+    n_attrs = len(cols)
+    splits = [[] for _ in range(n_attrs)]
+    swaps = [[[] for _ in range(n_attrs)] for _ in range(n_attrs)]
+    rows = list(zip(*cols))
+    if len(rows) < 2:
+        return splits, swaps
+    bits = [1 << a for a in range(n_attrs)]
+    lex = sorted(rows)
+    rev = sorted(zip(*cols[::-1]))
+    samples = (
+        (zip(repeat(rows[0]), islice(rows, 1, None)), bits),
+        (pairwise(lex), bits),
+        (pairwise(rev), bits[::-1]),
+    )
+    # Each distinct (agree mask, mask of the attributes on which the
+    # second row is greater) once.
+    patterns = set()
+    for pairs, order in samples:
+        patterns.update(
+            (sum(compress(order, map(eq, s, t))), sum(compress(order, map(lt, s, t)))) for s, t in pairs
+        )
+    patterns = sorted(patterns, key=lambda p: (-p[0].bit_count(), p))
+    full = (1 << n_attrs) - 1
+    agree = [m for m, _ in patterns]
+    differ = [full ^ m for m in agree]
+    above = [u for _, u in patterns]
+    below = [full ^ m ^ u for m, u in patterns]
+    for a in range(n_attrs):
+        splits[a] = _maximal(compress(agree, map(and_, differ, repeat(1 << a))), n_attrs)
+    for a, b in combinations(range(n_attrs), 2):
+        # A swap differs on a and b, with the second row above on one
+        # and below on the other.
+        ab = (1 << a) | (1 << b)
+        opposite = map(mul, map(and_, above, repeat(ab)), map(and_, below, repeat(ab)))
+        swaps[a][b] = _maximal(compress(agree, opposite), n_attrs)
+    return splits, swaps
+
+
+def _maximal(candidates, cap) -> list:
+    """The candidate masks that no earlier one contains, at most `cap`
+    of them.  Candidates come by descending size, so no mask kept
+    contains an earlier one either."""
+    masks, outside = [], []
+    for m in candidates:
+        if all(map(and_, outside, repeat(m))):
+            masks.append(m)
+            if len(masks) == cap:
+                break
+            outside.append(~m)
+    return masks
 
 
 def _refuted(masks, ctx_mask) -> bool:

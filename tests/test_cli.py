@@ -191,6 +191,8 @@ def test_validate_json_includes_witnesses(capsys, taxes_csv, taxes_schema_file):
     assert doc["valid"] is False
     assert doc["witnesses"][0]["kind"] == "swap"
     assert [1, 2] in doc["witnesses"][0]["pairs"]
+    # The pair lists take RunReport's one-format-per-pair path.
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_map_example(capsys):

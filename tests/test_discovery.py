@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from ordep import (
     Relation,
     Schema,
     brute_discover,
+    brute_validate_canonical,
     discover,
     discover_unpruned,
     is_minimal_constant,
@@ -233,13 +235,15 @@ def test_label_cache_builds_one_label_list_per_left_operand(monkeypatch):
     # none holding both a1 and a4 does either.  That leaves {0,1,2} and
     # {0,2,4} as the only level-3 nodes with constant checks, and their
     # six checks would read the five level-2 partitions {0,1}, {0,2},
-    # {1,2}, {0,4} and {2,4}.  Four of them are refuted by row pairs
-    # remembered from level 1: rows 0 and 2 split a0 and agree on
-    # {1,2,3,4}, and rows 0 and 1 split a1 and a4 and agree on {0,2,3}.
-    # The pairs that split a2, rows 2 and 3 over {a0} and rows 1 and 3
-    # over {a1}, agree on {0,3} and {1,3,4}, so a2 is checked over
-    # {0,1} and {0,4}.  Every other check reads the root or a single
-    # attribute, or is refuted, so two products are built.  Each
+    # {1,2}, {0,4} and {2,4}.  Four of them are refuted by masks seeded
+    # before level 1 from the sampled row pairs.  Row 0 against the
+    # others: rows 0 and 2 split a0 and agree on {1,2,3,4}, rows 0 and
+    # 1 split a1 and a4 and agree on {0,2,3}.  The pairs that split a2
+    # with the most agreeing attributes, rows 2 and 3 (neighbours in
+    # lexicographic order) and rows 1 and 3 (neighbours over the
+    # reversed columns), agree on {0,3} and {1,3,4}, so a2 is checked
+    # over {0,1} and {0,4}.  Every other check reads the root or a
+    # single attribute, or is refuted, so two products are built.  Each
     # refines the built generator {0} by the attribute it lacks, a1
     # and a4, and labels that attribute's rows: two label lists.
     labelled = []
@@ -301,6 +305,104 @@ def test_refuting_from_remembered_pairs_changes_no_result(monkeypatch):
                 runs += 1
     assert runs >= 1_000
     assert refuted > 1_000
+
+
+def _unseeded(cols):
+    n = len(cols)
+    return [[] for _ in range(n)], [[[] for _ in range(n)] for _ in range(n)]
+
+
+def test_seeding_from_sampled_pairs_changes_no_result(monkeypatch):
+    # The reference run starts from empty refutation lists and learns
+    # every mask from a failed scan.  Seeded masks may only skip work,
+    # so answers, emission order and every statistic must match it.
+    seed = discovery._seed
+    refute = discovery._refuted
+    snapshots = {}
+    by_seed = 0
+
+    def recording_seed(cols):
+        splits, swaps = seed(cols)
+        for masks in splits + [m for row in swaps for m in row]:
+            snapshots[id(masks)] = list(masks)
+        return splits, swaps
+
+    def counting_refuted(masks, ctx_mask):
+        nonlocal by_seed
+        hit = refute(masks, ctx_mask)
+        by_seed += hit and refute(snapshots[id(masks)], ctx_mask)
+        return hit
+
+    def outcome(res):
+        return res.ods, res.stats, res.levels_processed, res.exhausted, res.distinct_rows
+
+    rng = random.Random(103)
+    runs = built = built_unseeded = 0
+    for i in range(170):
+        rel = random_relation(rng, max_attrs=7, max_rows=30, with_nulls=i % 2 == 0)
+        if i % 3 != 2:
+            rel = with_duplicates(rng, rel)
+        for run in (discover, discover_unpruned):
+            for max_level in (None, 2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(discovery, "_seed", _unseeded)
+                    ref = run(rel, max_level)
+                with monkeypatch.context() as m:
+                    m.setattr(discovery, "_seed", recording_seed)
+                    m.setattr(discovery, "_refuted", counting_refuted)
+                    res = run(rel, max_level)
+                snapshots.clear()
+                assert outcome(res) == outcome(ref)
+                built += res.partitions_built
+                built_unseeded += ref.partitions_built
+                runs += 1
+    assert runs >= 1_000
+    assert by_seed > 1_000
+    assert built < built_unseeded
+
+
+def test_seeded_masks_come_from_witness_pairs_and_are_capped(monkeypatch):
+    # Each seeded mask is the agree mask of two distinct rows that the
+    # pairwise oracle finds to split its attribute, or to order its two
+    # attributes oppositely, under the context the mask names.  Lists
+    # hold maximal masks only, at most one per attribute: the first n
+    # of the list the same sample gives without the cap.
+    maximal = discovery._maximal
+    rng = random.Random(107)
+    seeded = capped = 0
+    for i in range(240):
+        if i % 2:
+            rel = random_relation(rng, max_attrs=10, max_rows=50, max_domain=6, with_nulls=i % 3 != 0)
+        else:
+            rel = with_duplicates(rng, random_relation(rng, max_rows=12, with_nulls=i % 3 != 0))
+        n = rel.attr_count
+        rows = list(dict.fromkeys(zip(*rel.raw_columns)))
+        by_mask = {}
+        for s, t in combinations(rows, 2):
+            by_mask.setdefault(sum(1 << a for a in range(n) if s[a] == t[a]), []).append((s, t))
+        cols = discovery._distinct_rows(rel).columns
+        splits, swaps = discovery._seed(cols)
+        with monkeypatch.context() as patch:
+            patch.setattr(discovery, "_maximal", lambda candidates, cap: maximal(candidates, None))
+            uncapped = discovery._seed(cols)
+        lists = [(masks, (a,), uncapped[0][a]) for a, masks in enumerate(splits)]
+        lists += [(swaps[a][b], (a, b), uncapped[1][a][b]) for a, b in combinations(range(n), 2)]
+        for masks, attrs, all_masks in lists:
+            assert masks == all_masks[:n]
+            capped += len(all_masks) > n
+            for m, k in combinations(masks, 2):
+                assert m & ~k and k & ~m
+            for m in masks:
+                context = {a for a in range(n) if m >> a & 1}
+                od = ConstantOD(context, *attrs) if len(attrs) == 1 else OrderCompatOD(context, *attrs)
+                pairs = by_mask.get(m, ())
+                assert any(not brute_validate_canonical(Relation.from_rows(rel.schema, p), od) for p in pairs)
+                seeded += 1
+        for a in range(n):
+            for b in range(a + 1):
+                assert swaps[a][b] == []
+    assert seeded > 5_000
+    assert capped > 30
 
 
 def test_remembered_masks_stay_maximal():
