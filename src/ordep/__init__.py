@@ -32,7 +32,6 @@ from .odmodel import (
     validate_canonical,
     violations,
 )
-from .oracle import OracleConfig, brute_discover, brute_validate_canonical, brute_validate_list, lex_leq
 from .partitions import (
     SortedPartition,
     StrippedPartition,
@@ -47,6 +46,20 @@ from .partitions import (
 from .relation import Relation, Schema, encode_ranks, infer_schema, load_csv
 
 __version__ = "0.1.0"
+
+# The brute-force reference is imported on first use (PEP 562), so
+# importing the package does not load it.
+_ORACLE_NAMES = frozenset(
+    ("OracleConfig", "brute_discover", "brute_validate_canonical", "brute_validate_list", "lex_leq")
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BudgetExceededError",

@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, asdict
 from json.encoder import encode_basestring_ascii as _quote
 
 from .discovery import discover, discover_unpruned
@@ -37,20 +36,19 @@ from .odmodel import (
     validate_canonical,
     violations,
 )
-from .oracle import OracleConfig, brute_discover, brute_validate_canonical, brute_validate_list
 from .relation import NULL_POLICIES, Schema, infer_schema, load_csv
 
 _POLICY_FLAG = {"first": "nulls_first", "last": "nulls_last", "reject": "reject"}
 
 
-@dataclass
 class RunReport:
     """Everything one invocation produced, in serialization order."""
 
-    command: str
-    input: dict | None
-    flags: dict
-    results: dict
+    def __init__(self, command: str, input: dict | None, flags: dict, results: dict):
+        self.command = command
+        self.input = input
+        self.flags = flags
+        self.results = results
 
     def to_json(self) -> str:
         doc = {"command": self.command}
@@ -128,7 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--seed", type=int, help="accepted and echoed; no behavior depends on it")
-        p.add_argument("--threads", type=int, default=1, help="reserved; execution is sequential")
+        p.add_argument(
+            "--threads", type=_int_at_least(1), default=1, help="reserved; execution is sequential"
+        )
 
     p = sub.add_parser("discover", help="find all minimal order dependencies")
     add_data_flags(p)
@@ -209,6 +209,8 @@ def _cmd_discover(args) -> int:
     )
     started = time.perf_counter()
     if args.oracle:
+        from .oracle import OracleConfig, brute_discover
+
         found = brute_discover(rel, OracleConfig(max_level=args.max_level))
         results = {"ods": [_od_record(od, names) for od in sorted(found, key=od_sort_key)]}
         results["od_count"] = len(found)
@@ -221,7 +223,7 @@ def _cmd_discover(args) -> int:
         }
         results["od_count"] = len(run.ods)
         results["stats"] = {
-            "levels": [asdict(s) for s in run.stats.levels],
+            "levels": [s.as_dict() for s in run.stats.levels],
             "totals": {
                 "nodes_generated": run.stats.nodes_generated,
                 "nodes_pruned": run.stats.nodes_pruned,
@@ -251,12 +253,14 @@ def _cmd_validate(args) -> int:
     od = parse_od(args.od)
     rel, fingerprint = _load_relation(args)
     od_idx = map_od_attrs(od, rel.attr_index)
-    if isinstance(od_idx, ListOD):
-        valid = brute_validate_list(rel, od_idx) if args.oracle else satisfies_list_od(rel, od_idx)
+    if args.oracle:
+        from .oracle import brute_validate_canonical, brute_validate_list
+
+        valid = (brute_validate_list if isinstance(od_idx, ListOD) else brute_validate_canonical)(rel, od_idx)
+    elif isinstance(od_idx, ListOD):
+        valid = satisfies_list_od(rel, od_idx)
     else:
-        valid = (
-            brute_validate_canonical(rel, od_idx) if args.oracle else validate_canonical(rel, od_idx)
-        )
+        valid = validate_canonical(rel, od_idx)
     results = {"od": format_od(od_idx, rel.schema.names), "valid": valid}
     if args.witnesses and not valid:
         results["witnesses"] = [

@@ -117,7 +117,7 @@ either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, compress, groupby, islice, pairwise, repeat
 from operator import and_, eq, lt, mul
 
@@ -139,20 +139,55 @@ from .partitions import first_swap as check_order_compatible
 from .relation import Relation
 
 
-@dataclass
 class LevelStats:
-    level: int
-    nodes_generated: int = 0
-    nodes_pruned: int = 0
-    constant_checks: int = 0
-    swap_checks: int = 0
-    keys_found: int = 0
-    ods_found: int = 0
+    """Work done on one lattice level, counted while the walk runs."""
+
+    __slots__ = (
+        "level",
+        "nodes_generated",
+        "nodes_pruned",
+        "constant_checks",
+        "swap_checks",
+        "keys_found",
+        "ods_found",
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        level,
+        nodes_generated=0,
+        nodes_pruned=0,
+        constant_checks=0,
+        swap_checks=0,
+        keys_found=0,
+        ods_found=0,
+    ):
+        self.level = level
+        self.nodes_generated = nodes_generated
+        self.nodes_pruned = nodes_pruned
+        self.constant_checks = constant_checks
+        self.swap_checks = swap_checks
+        self.keys_found = keys_found
+        self.ods_found = ods_found
+
+    def as_dict(self) -> dict:
+        """The counts by name, in field order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self):
+        return "LevelStats(" + ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items()) + ")"
 
 
-@dataclass(frozen=True)
-class DiscoveryStats:
-    levels: tuple[LevelStats, ...]
+class DiscoveryStats(namedtuple("DiscoveryStats", "levels")):
+    """Per-level statistics of one walk, with their totals."""
+
+    __slots__ = ()
 
     @property
     def nodes_generated(self) -> int:
@@ -175,21 +210,17 @@ class DiscoveryStats:
         return sum(s.keys_found for s in self.levels)
 
 
-@dataclass(frozen=True)
-class DiscoveryResult:
+_RESULT_FIELDS = "ods stats levels_processed max_level exhausted distinct_rows partitions_built"
+
+
+class DiscoveryResult(namedtuple("DiscoveryResult", _RESULT_FIELDS)):
     """Every minimal canonical dependency with at most max_level
     attributes overall (context plus checked attributes), in a
     deterministic emission order, plus traversal statistics, the
     number of distinct rows the traversal ran over, and the number of
     partition products it took."""
 
-    ods: tuple
-    stats: DiscoveryStats
-    levels_processed: int
-    max_level: int
-    exhausted: bool
-    distinct_rows: int
-    partitions_built: int
+    __slots__ = ()
 
 
 class _Node:

@@ -25,20 +25,25 @@ attributes the bounded closure is finite, so iteration terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 
 from .odmodel import ConstantOD, OrderCompatOD, is_trivial, od_attrs, validate_canonical
 
 
-@dataclass(frozen=True)
-class DerivationLimit:
-    max_context_size: int
-    max_chain_length: int = 3
+class DerivationLimit(namedtuple("DerivationLimit", "max_context_size max_chain_length")):
+    """Bounds on a derivation: the largest context it may build and the
+    longest chain of order compatibilities it may follow."""
 
-    def __post_init__(self):
-        if self.max_context_size < 0 or self.max_chain_length < 0:
+    __slots__ = ()
+
+    def __new__(cls, max_context_size, max_chain_length=3):
+        if max_context_size < 0 or max_chain_length < 0:
             raise ValueError("limits must be non-negative")
+        return tuple.__new__(cls, (max_context_size, max_chain_length))
+
+    # `_replace` rebuilds through `_make`: send it through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class ODSet:

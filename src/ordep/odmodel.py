@@ -26,7 +26,7 @@ abstract schemas use attribute-name strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations
 
 from .errors import ODSyntaxError
@@ -55,49 +55,48 @@ def is_trivial(context, attrs) -> bool:
     return len(set(attrs)) < len(attrs) or any(a in context for a in attrs)
 
 
-@dataclass(frozen=True)
-class ListOD:
+class ListOD(namedtuple("ListOD", "lhs rhs")):
     """A list-form dependency lhs -> rhs. Both sides are normalized."""
 
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", normalize_spec(self.lhs))
-        object.__setattr__(self, "rhs", normalize_spec(self.rhs))
+    def __new__(cls, lhs, rhs):
+        return tuple.__new__(cls, (normalize_spec(lhs), normalize_spec(rhs)))
+
+    # `_replace` rebuilds through `_make`: send it through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ConstantOD:
+class ConstantOD(namedtuple("ConstantOD", "context attr")):
     """`context: [] |-> attr`; trivial forms (attr in context) are rejected."""
 
-    context: frozenset
-    attr: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", frozenset(self.context))
-        if self.attr in self.context:
-            raise ODSyntaxError(f"trivial constant dependency: {self.attr!r} is in its own context")
+    def __new__(cls, context, attr):
+        context = frozenset(context)
+        if attr in context:
+            raise ODSyntaxError(f"trivial constant dependency: {attr!r} is in its own context")
+        return tuple.__new__(cls, (context, attr))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class OrderCompatOD:
+class OrderCompatOD(namedtuple("OrderCompatOD", "context a b")):
     """`context: a ~ b`, stored with a < b; trivial forms are rejected."""
 
-    context: frozenset
-    a: object
-    b: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "context", frozenset(self.context))
-        if self.a == self.b:
+    def __new__(cls, context, a, b):
+        context = frozenset(context)
+        if a == b:
             raise ODSyntaxError("trivial order compatibility: identical attributes")
-        if self.a in self.context or self.b in self.context:
+        if a in context or b in context:
             raise ODSyntaxError("trivial order compatibility: attribute is in its own context")
-        if self.b < self.a:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+        if b < a:
+            a, b = b, a
+        return tuple.__new__(cls, (context, a, b))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def od_level(od) -> int:
@@ -125,19 +124,16 @@ def od_sort_key(od):
     )
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(namedtuple("ViolationReport", "kind over attrs pairs")):
     """Witness pairs for one failed check.
 
     kind is "split" (rows equal on `over` but unequal on `attrs`) or
     "swap" (rows in one `over`-class ordered oppositely by the two
-    attrs).  Pairs carry 1-based row numbers of the input.
+    attrs).  pairs holds (s, t) tuples of 1-based row numbers of the
+    input.
     """
 
-    kind: str
-    over: tuple
-    attrs: tuple
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _resolve(rel, attrs):

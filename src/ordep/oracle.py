@@ -9,7 +9,7 @@ twice to go unnoticed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import BudgetExceededError
@@ -17,14 +17,19 @@ from .inference import is_minimal_constant, is_minimal_oc
 from .odmodel import ConstantOD, ListOD, OrderCompatOD, od_sort_key
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_level: int | None = None
-    check_budget: int = 1_000_000
+class OracleConfig(namedtuple("OracleConfig", "max_level check_budget")):
+    """Bounds on a brute-force discovery: attributes per dependency
+    (None for no cap) and validity checks before it gives up."""
 
-    def __post_init__(self):
-        if self.max_level is not None and self.max_level < 1:
-            raise ValueError(f"max_level must be at least 1, got {self.max_level}")
+    __slots__ = ()
+
+    def __new__(cls, max_level=None, check_budget=1_000_000):
+        if max_level is not None and max_level < 1:
+            raise ValueError(f"max_level must be at least 1, got {max_level}")
+        return tuple.__new__(cls, (max_level, check_budget))
+
+    # `_replace` rebuilds through `_make`: send it through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _value_key(rel):

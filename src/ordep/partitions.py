@@ -20,16 +20,14 @@ and ordered by first row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 
-@dataclass(frozen=True)
-class StrippedPartition:
+class StrippedPartition(namedtuple("StrippedPartition", "classes row_count")):
     """Equivalence classes of size >= 2, each ascending, ordered by head."""
 
-    classes: tuple[tuple[int, ...], ...]
-    row_count: int
+    __slots__ = ()
 
     @property
     def stripped_row_count(self) -> int:
@@ -40,18 +38,18 @@ class StrippedPartition:
         return not self.classes
 
 
-@dataclass(frozen=True)
-class SortedPartition:
+class SortedPartition(namedtuple("SortedPartition", "classes row_count position")):
     """All classes of one attribute, ascending by rank, singletons kept.
 
     position[t] is the index of row t's class within `classes`; the
     check routines use it as an O(1) ordering lookup instead of
-    rescanning the class list.
+    rescanning the class list.  The repr leaves it out.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    row_count: int
-    position: tuple[int, ...] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"SortedPartition(classes={self.classes!r}, row_count={self.row_count!r})"
 
     def bucketize(self, rows) -> tuple[tuple[int, ...], ...]:
         """Split `rows` into maximal runs equal on the attribute,

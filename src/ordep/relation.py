@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
 from operator import itemgetter
 
@@ -32,21 +32,19 @@ _PY_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(namedtuple("Schema", "attributes null_policy")):
     """Ordered attribute declarations plus the relation's null policy.
 
     attributes: tuple of (name, type) pairs; type is one of
     "integer", "float", "text", "date".
     """
 
-    attributes: tuple[tuple[str, str], ...]
-    null_policy: str = "nulls_first"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple((n, t) for n, t in self.attributes))
+    def __new__(cls, attributes, null_policy="nulls_first"):
+        attributes = tuple((n, t) for n, t in attributes)
         seen = set()
-        for name, typ in self.attributes:
+        for name, typ in attributes:
             if not name:
                 raise SchemaError("empty attribute name")
             if name in seen:
@@ -54,8 +52,12 @@ class Schema:
             seen.add(name)
             if typ not in TYPES:
                 raise SchemaError(f"unknown type {typ!r} for attribute {name!r}")
-        if self.null_policy not in NULL_POLICIES:
-            raise SchemaError(f"unknown null policy {self.null_policy!r}")
+        if null_policy not in NULL_POLICIES:
+            raise SchemaError(f"unknown null policy {null_policy!r}")
+        return tuple.__new__(cls, (attributes, null_policy))
+
+    # `_replace` rebuilds through `_make`: send it through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -179,19 +181,18 @@ def encode_ranks(values, typ: str, null_policy: str = "nulls_first") -> list[int
     return out
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "schema row_count columns raw_columns", defaults=((),))):
     """An immutable table of rank-encoded columns.
 
     columns[i][t] is the rank of row t under attribute i; raw_columns
     keeps the parsed values so reference checks can bypass the encoding
-    entirely.
+    entirely.  The repr leaves raw_columns out.
     """
 
-    schema: Schema
-    row_count: int
-    columns: tuple[tuple[int, ...], ...]
-    raw_columns: tuple[tuple, ...] = field(repr=False, default=())
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"Relation(schema={self.schema!r}, row_count={self.row_count!r}, columns={self.columns!r})"
 
     @property
     def attr_count(self) -> int:

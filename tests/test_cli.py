@@ -350,6 +350,21 @@ def test_max_level_below_one_is_usage_error(capsys, tmp_path):
     assert (code, out) == (0, "{}: [] |-> b\n")
 
 
+def test_threads_below_one_is_usage_error(capsys, taxes_csv, taxes_schema_file):
+    data = ["--input", taxes_csv, "--schema", taxes_schema_file]
+    commands = (["discover", *data], ["validate", "[ID] -> [year]", *data], ["map", "[A] -> [B]"])
+    for argv in commands:
+        for value in ("0", "-5"):
+            code, out, err = run(capsys, *argv, "--threads", value)
+            assert_one_line_usage_error(code, err)
+            assert out == ""
+            assert "--threads: must be at least 1" in err
+        code, _, err = run(capsys, *argv, "--threads", "x")
+        assert_one_line_usage_error(code, err)
+    code, out, _ = run(capsys, "map", "[A] -> [B]", "--threads", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["flags"]["threads"] == 1
+
+
 def test_negative_infer_limits_are_usage_errors(capsys, tmp_path):
     premises = write_premises(tmp_path, {"universe": ["A", "B"], "ods": ["{}: A ~ B"]})
     for flag in ("--max-context", "--max-chain"):
