@@ -129,8 +129,7 @@ class ViolationReport(namedtuple("ViolationReport", "kind over attrs pairs")):
 
     kind is "split" (rows equal on `over` but unequal on `attrs`) or
     "swap" (rows in one `over`-class ordered oppositely by the two
-    attrs).  pairs holds (s, t) tuples of 1-based row numbers of the
-    input.
+    attrs).  Pairs carry 1-based row numbers of the input.
     """
 
     __slots__ = ()
