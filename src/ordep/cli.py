@@ -41,6 +41,12 @@ from .relation import NULL_POLICIES, Schema, infer_schema, load_csv
 _POLICY_FLAG = {"first": "nulls_first", "last": "nulls_last", "reject": "reject"}
 
 
+_BATCH = 4096  # witness pairs rendered per string
+# Stands for a pair array in `_dumps` output, which holds no other NUL:
+# strings are rendered with control characters escaped.
+_HOLE = "\0"
+
+
 class RunReport:
     """Everything one invocation produced, in serialization order."""
 
@@ -51,17 +57,36 @@ class RunReport:
         self.results = results
 
     def to_json(self) -> str:
+        return "".join(self._pieces())
+
+    def write(self, out) -> None:
+        """Write `to_json()` to out piece by piece: a report listing 10^5
+        witness pairs is never held as one string."""
+        for piece in self._pieces():
+            out.write(piece)
+
+    def _pieces(self):
         doc = {"command": self.command}
         if self.input is not None:
             doc["input"] = self.input
         doc["flags"] = self.flags
         doc.update(self.results)
-        return _dumps(doc) + "\n"
+        arrays = []
+        head, *tails = _dumps(doc, "\n", arrays).split(_HOLE)
+        yield head
+        for (pairs, indent), tail in zip(arrays, tails):
+            inner = indent + "  "
+            deeper = inner + "  "
+            yield "[" + inner
+            yield from _joined(pairs, f"[{deeper}%d,{deeper}%d{inner}]", "," + inner)
+            yield indent + "]"
+            yield tail
+        yield "\n"
 
 
 class _Pairs:
     """Witness row pairs (s, t), two ints each, marked so that `_dumps`
-    renders them without inspecting their elements.  It wraps the
+    leaves them to `RunReport` to render in batches.  It wraps the
     tuple rather than copying it: a list witness can hold 10^5 pairs."""
 
     __slots__ = ("pairs",)
@@ -70,25 +95,36 @@ class _Pairs:
         self.pairs = pairs
 
 
-def _dumps(obj, indent="\n") -> str:
+def _joined(pairs, fmt, sep):
+    """sep.join(fmt % pair for pair in pairs), in pieces of _BATCH pairs."""
+    for i in range(0, len(pairs), _BATCH):
+        if i:
+            yield sep
+        yield sep.join([fmt % p for p in pairs[i : i + _BATCH]])
+
+
+def _dumps(obj, indent, arrays) -> str:
     """json.dumps(obj, indent=2), byte for byte, for report documents
     (string keys).  With indent, json.dumps runs CPython's pure-Python
     encoder, which takes seconds over the 10^5 witness pairs a report
-    can list; here each pair of a `_Pairs` is rendered by one format."""
+    can list.  A non-empty `_Pairs` is rendered as `_HOLE`, and its
+    pairs and indent are appended to `arrays` for the caller to fill
+    the hole with."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{_quote(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        items = [f"{_quote(k)}: {_dumps(v, inner, arrays)}" for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple, _Pairs)):
-        if type(obj) is _Pairs:
-            deeper = inner + "  "
-            items = [f"[{deeper}{s},{deeper}{t}{inner}]" for s, t in obj.pairs]
-        else:
-            items = [_dumps(v, inner) for v in obj]
-        if not items:
+    if type(obj) is _Pairs:
+        if not obj.pairs:
             return "[]"
+        arrays.append((obj.pairs, indent))
+        return _HOLE
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_dumps(v, inner, arrays) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if type(obj) is str:
         return _quote(obj)
@@ -241,7 +277,7 @@ def _cmd_discover(args) -> int:
     elapsed = time.perf_counter() - started
     report = RunReport("discover", fingerprint, flags, results)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        report.write(sys.stdout)
     else:
         for rec in results["ods"]:
             sys.stdout.write(rec["text"] + "\n")
@@ -276,12 +312,14 @@ def _cmd_validate(args) -> int:
     flags.update({"witnesses": args.witnesses, "oracle": args.oracle, "null_policy": rel.schema.null_policy})
     report = RunReport("validate", fingerprint, flags, results)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        report.write(sys.stdout)
     else:
         sys.stdout.write(("valid" if valid else "invalid") + f": {results['od']}\n")
         for w in results.get("witnesses", []):
-            pairs = " ".join(f"({s},{t})" for s, t in w["pairs"].pairs)
-            sys.stdout.write(f"  {w['kind']} witnesses: {pairs}\n")
+            sys.stdout.write(f"  {w['kind']} witnesses: ")
+            for piece in _joined(w["pairs"].pairs, "(%d,%d)", " "):
+                sys.stdout.write(piece)
+            sys.stdout.write("\n")
     return 0 if valid else 1
 
 
@@ -297,7 +335,7 @@ def _cmd_map(args) -> int:
     }
     report = RunReport("map", None, _common_flags(args), results)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        report.write(sys.stdout)
     else:
         for text in results["ods"]:
             sys.stdout.write(text + "\n")
@@ -337,7 +375,7 @@ def _cmd_infer(args) -> int:
         flags.update({"max_context": args.max_context, "max_chain": args.max_chain, "trace": args.trace})
         report = RunReport("infer", None, flags, results)
         if args.format == "json":
-            sys.stdout.write(report.to_json())
+            report.write(sys.stdout)
         else:
             sys.stdout.write(f"yes (trivial): {results['target']}\n")
         return 0
@@ -367,7 +405,7 @@ def _cmd_infer(args) -> int:
     flags.update({"max_context": max_ctx, "max_chain": args.max_chain, "trace": args.trace})
     report = RunReport("infer", None, flags, results)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        report.write(sys.stdout)
     else:
         sys.stdout.write(f"{answer}: {results['target']}\n")
         for step in results.get("trace", []):

@@ -14,9 +14,11 @@ A list dependency is decided through that equivalence only: it holds
 exactly when every member of its mapped set holds, and each member is
 checked on partitions.  The pairwise definitions on raw values live in
 `oracle`, which cross-checks this module.  Row pairs are enumerated here
-only to list witnesses (`find_splits`, `find_swaps`), one context class
-at a time, and a list dependency's witnesses are those of its mapping
-(`violations`).
+only to list witnesses (`find_splits`, `find_swaps`), and a list
+dependency's witnesses are those of its mapping (`violations`).  Pairs
+come out in their final (s, t) order, one context class at a time: for
+each row s, ascending, the qualifying rows t of s's class, ascending.
+Nothing is sorted afterwards, and the CLI writes them in batches.
 
 Attribute identifiers are deliberately generic: the discovery engine
 works with 0-based column indices, while parsed text and inference over
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain, combinations
 
 from .errors import ODSyntaxError
 from .partitions import partition_set, sorted_partition, check_constant, check_order_compatible
@@ -196,12 +197,37 @@ def order_compatible(rel, x, y) -> bool:
     return order_equivalent(rel, x + y, y + x)
 
 
+def _by_row(rel, context):
+    """(s, class, i) for every row s of a context class, by ascending
+    s, where class is s's class (ascending rows) and i its position."""
+    where = [None] * rel.row_count
+    for rows in partition_set(rel, context).classes:
+        for i, s in enumerate(rows):
+            where[s] = (s, rows, i)
+    return [w for w in where if w is not None]
+
+
+def _split_pairs(rel, x, y):
+    """Yield find_splits' pairs in ascending (s, t) order."""
+    keys = _row_keys(rel, y)
+    number = list(range(1, rel.row_count + 1))  # one int per row, shared by its pairs
+    for s, rows, i in _by_row(rel, x):
+        key, ns = keys[s], number[s]
+        yield from [(ns, number[t]) for t in rows[i + 1 :] if keys[t] != key]
+
+
+def _swap_pairs(rel, context, a, b):
+    """Yield find_swaps' pairs in ascending (s, t) order."""
+    ca, cb = rel.column(a), rel.column(b)
+    number = list(range(1, rel.row_count + 1))
+    for s, rows, _ in _by_row(rel, context):
+        sa, sb, ns = ca[s], cb[s], number[s]
+        yield from [(ns, number[t]) for t in rows if ca[t] > sa and cb[t] < sb]
+
+
 def find_splits(rel, x, y) -> tuple[tuple[int, int], ...]:
     """All row pairs equal on x but unequal on y, as 1-based (s, t), s < t."""
-    keys = _row_keys(rel, y)
-    classes = partition_set(rel, x).classes
-    pairs = [(s + 1, t + 1) for rows in classes for s, t in combinations(rows, 2) if keys[s] != keys[t]]
-    return tuple(sorted(pairs))
+    return tuple(_split_pairs(rel, x, y))
 
 
 def find_swaps(rel, context, a, b) -> tuple[tuple[int, int], ...]:
@@ -210,17 +236,7 @@ def find_swaps(rel, context, a, b) -> tuple[tuple[int, int], ...]:
     Each pair is reported as 1-based (s, t) with s strictly before t on
     a and strictly after t on b.
     """
-    ca, cb = rel.column(a), rel.column(b)
-    pairs = []
-    for rows in partition_set(rel, context).classes:
-        for s, t in combinations(rows, 2):
-            if ca[s] < ca[t]:
-                if cb[s] > cb[t]:
-                    pairs.append((s + 1, t + 1))
-            elif ca[s] > ca[t] and cb[s] < cb[t]:
-                pairs.append((t + 1, s + 1))
-    pairs.sort()
-    return tuple(pairs)
+    return tuple(_swap_pairs(rel, context, a, b))
 
 
 def violations(rel, od) -> tuple[ViolationReport, ...]:
@@ -238,15 +254,16 @@ def violations(rel, od) -> tuple[ViolationReport, ...]:
     as the rows agree on its context and differ on both attributes),
     and `find_swaps` orients it by lhs[i] as the list form does.
     Conversely every such member's swap is a list swap.  The members'
-    swap sets are therefore disjoint and their union is the list's.
+    swap sets are therefore disjoint and their union is the list's, so
+    merging the members' ordered swap streams lists it in order.
     """
     if isinstance(od, ListOD):
+        from heapq import merge  # here, to keep it off the CLI's import path
+
         lhs, rhs = over, attrs = od.lhs, od.rhs
         splits = find_splits(rel, lhs, [a for a in rhs if a not in lhs])
         members = [(lhs[:i] + rhs[:j], x, y) for i, x in enumerate(lhs) for j, y in enumerate(rhs)]
-        swaps = sorted(
-            chain.from_iterable(find_swaps(rel, c, x, y) for c, x, y in members if not is_trivial(c, (x, y)))
-        )
+        swaps = tuple(merge(*(_swap_pairs(rel, c, x, y) for c, x, y in members if not is_trivial(c, (x, y)))))
     elif isinstance(od, ConstantOD):
         over, attrs = tuple(sorted(od.context)), (od.attr,)
         splits, swaps = find_splits(rel, od.context, attrs), ()
@@ -254,7 +271,7 @@ def violations(rel, od) -> tuple[ViolationReport, ...]:
         over, attrs = tuple(sorted(od.context)), (od.a, od.b)
         splits, swaps = (), find_swaps(rel, od.context, od.a, od.b)
     return tuple(
-        ViolationReport(kind, over, attrs, tuple(pairs))
+        ViolationReport(kind, over, attrs, pairs)
         for kind, pairs in (("split", splits), ("swap", swaps))
         if pairs
     )

@@ -1,7 +1,10 @@
 import csv
 import hashlib
+import io
 import json
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 from itertools import permutations
 from pathlib import Path
 
@@ -435,6 +438,92 @@ def test_report_json_matches_indented_json_dumps():
         report = cli.RunReport("validate", {"path": "t.csv", "rows": rel.row_count}, flags, results)
         doc = {"command": "validate", "input": report.input, "flags": flags, **results}
         assert report.to_json() == json.dumps(doc, indent=2) + "\n"
+
+
+class Pieces(io.StringIO):
+    """A StringIO that remembers the length of its longest write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+def test_streamed_report_matches_indented_json_dumps():
+    """RunReport.write streams `_Pairs` arrays in batches and renders
+    everything else in one piece; its bytes must equal
+    json.dumps(doc, indent=2) for the same reports, and for pair lists
+    empty, of exactly one batch and of more than one batch."""
+    rng = random.Random(1608)
+    batch = [(s, s + 1) for s in range(1, cli._BATCH + 1)]
+    extra = [[], batch, batch + [(7, 9)], batch * 2 + [(1, 2)]]
+    for trial in range(300 + len(extra)):
+        rel = random_relation(rng, max_rows=40, with_nulls=True)
+        names = rel.schema.names
+        a, b, c = rng.sample(range(rel.attr_count), 2) + [rng.randrange(rel.attr_count)]
+        od = rng.choice([
+            ConstantOD(frozenset({c}) - {a}, a),
+            OrderCompatOD(frozenset({c}) - {a, b}, a, b),
+            ListOD((a, c), (b,)),
+        ])
+        witnesses = [(v.kind, [names[i] for i in v.over], [names[i] for i in v.attrs], v.pairs)
+                     for v in violations(rel, od)]
+        if trial >= 300:
+            witnesses.append(("swap", [], ["caf\u00e9"], tuple(extra[trial - 300])))
+        docs = [
+            [{"kind": k, "over": o, "attrs": at, "pairs": wrap(p)} for k, o, at, p in witnesses]
+            for wrap in (cli._Pairs, list)
+        ]
+        flags = {"seed": trial, "oracle": False, "ratio": trial / 7, "levels": [[1, 2, 3], []]}
+        report = cli.RunReport("validate", {"path": "t.csv"}, flags, {"od": "x", "witnesses": docs[0]})
+        doc = {"command": "validate", "input": report.input, "flags": flags, "od": "x", "witnesses": docs[1]}
+        out = Pieces()
+        report.write(out)
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert out.getvalue() == report.to_json() == expected
+        # A pair renders to about 50 characters at this depth.
+        assert out.longest < 64 * cli._BATCH
+        if trial == 300 + len(extra) - 1:
+            assert len(expected) > 2 * out.longest
+
+
+def test_text_witness_lines_are_written_in_batches(capsys, tmp_path):
+    # 100 rows, a ascending and b descending: every one of the 4,950
+    # row pairs is a swap, more than one batch of them.
+    path = tmp_path / "swaps.csv"
+    path.write_text("a,b\n" + "".join(f"{i},{-i}\n" for i in range(100)))
+    code, out, _ = run(capsys, "validate", "{}: a ~ b", "--input", str(path), "--infer-schema", "--witnesses")
+    pairs = [(s, t) for s in range(1, 101) for t in range(s + 1, 101)]
+    assert len(pairs) > cli._BATCH
+    assert code == 1
+    assert out == "invalid: {}: a ~ b\n  swap witnesses: " + " ".join(f"({s},{t})" for s, t in pairs) + "\n"
+
+
+def test_list_witness_report_memory_stays_proportional_to_its_output(tmp_path):
+    # [grp] -> [cat] on 300 seeded rows lists 22,315 pairs in 1.1 MB
+    # of JSON.  Building the report as one string (every pair tuple, a
+    # global sort, one string per pair, one join and a copy) peaked at
+    # about 5.2x the output's length under tracemalloc.  Listing the
+    # pairs in output order and writing them in batches peaks at about
+    # 2.6x, most of it the pair tuples the report keeps and the
+    # StringIO.  The bound sits between the two.
+    rng = random.Random(2016)
+    path = tmp_path / "groups.csv"
+    path.write_text("grp,cat\n" + "".join(f"{rng.randrange(20)},{rng.randrange(10)}\n" for _ in range(300)))
+    argv = ["validate", "[grp] -> [cat]", "--witnesses", "--format", "json", "--input", str(path), "--infer-schema"]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(out.getvalue())
+    assert code == 1
+    assert sum(len(w["pairs"]) for w in doc["witnesses"]) == 22315
+    assert peak < 4 * len(out.getvalue())
 
 
 def test_undecodable_or_unreadable_input_exits_two(capsys, tmp_path):

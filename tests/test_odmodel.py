@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,9 @@ from ordep import (
     violations,
 )
 
-from helpers import random_int_relation
+from ordep import odmodel
+
+from helpers import random_int_relation, random_relation, with_duplicates
 
 
 def int_relation(*cols):
@@ -171,6 +174,50 @@ def test_find_swaps_orientation():
     # attribute in front, regardless of file order.
     rel = int_relation([2, 1], [1, 2])
     assert find_swaps(rel, [], 0, 1) == ((2, 1),)
+
+
+def test_pair_generators_list_pairs_in_output_order():
+    # Reference: every row pair, tested on rank columns, then sorted.
+    # The generators instead walk rows s in ascending order and list
+    # the qualifying rows t of s's context class; their output must be
+    # the same pairs, already strictly increasing.
+    rng = random.Random(1608)
+    checked = {"split": 0, "swap": 0}
+    for draw in range(320):
+        rel = random_relation(rng, max_attrs=6, max_rows=16, with_nulls=True)
+        if draw % 2:
+            rel = with_duplicates(rng, rel)
+        names = list(rel.schema.names)
+        a, b = sorted(rng.sample(names, 2))  # as OrderCompatOD stores them
+        rest = [n for n in names if n not in (a, b)]
+        ctx = rng.sample(rest, rng.randint(0, min(3, len(rest))))
+
+        def key(cols, r):
+            return tuple(rel.column(c)[r] for c in cols)
+
+        same_class = [(s, t) for s, t in combinations(range(rel.row_count), 2) if key(ctx, s) == key(ctx, t)]
+        ca, cb = rel.column(a), rel.column(b)
+        want_splits = sorted((s + 1, t + 1) for s, t in same_class if ca[s] != ca[t])
+        want_swaps = sorted(
+            (s + 1, t + 1) if ca[s] < ca[t] else (t + 1, s + 1)
+            for s, t in same_class
+            if (ca[s] - ca[t]) * (cb[s] - cb[t]) < 0
+        )
+        for kind, gen, want, od in (
+            ("split", odmodel._split_pairs(rel, ctx, [a]), want_splits, ConstantOD(ctx, a)),
+            ("swap", odmodel._swap_pairs(rel, ctx, a, b), want_swaps, OrderCompatOD(ctx, a, b)),
+        ):
+            pairs = list(gen)
+            assert all(p < q for p, q in zip(pairs, pairs[1:])), (kind, pairs)
+            assert pairs == want, kind
+            found = find_splits(rel, ctx, [a]) if kind == "split" else find_swaps(rel, ctx, a, b)
+            assert found == tuple(want)
+            assert [r.pairs for r in violations(rel, od)] == ([found] if found else [])
+            checked[kind] += bool(want)
+        # A list dependency merges its members' swap streams.
+        for report in violations(rel, ListOD((*ctx, a), (b,))):
+            assert all(p < q for p, q in zip(report.pairs, report.pairs[1:]))
+    assert min(checked.values()) > 100, checked
 
 
 def test_violations_constant(taxes):

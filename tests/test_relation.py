@@ -445,10 +445,13 @@ def outcome(load, *args):
 
 def test_load_csv_matches_rowwise_reference(tmp_path):
     rng = random.Random(2016)
-    path = tmp_path / "fuzz.csv"
     errors = 0
-    for _ in range(1200):
+    for i in range(1200):
         data, schema, has_header = random_csv(rng)
+        # A fresh name per case: overwriting one non-empty file costs
+        # tens of milliseconds on some filesystems, writing a new one
+        # almost nothing.
+        path = tmp_path / f"fuzz{i}.csv"
         path.write_bytes(data)
         expected = outcome(load_csv_rowwise, path, schema, has_header)
         assert outcome(load_csv, path, schema, has_header) == expected, data
