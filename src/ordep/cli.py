@@ -11,7 +11,6 @@ the run.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -195,6 +194,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_relation(args):
+    """The input relation, with raw values only under --oracle (the only
+    reader of them), and the report's input fingerprint."""
+    import hashlib
+
     if args.schema:
         with open(args.schema, encoding="utf-8") as fh:
             schema = Schema.from_json(fh.read())
@@ -204,7 +207,7 @@ def _load_relation(args):
         raise OrdepError("either --schema or --infer-schema is required")
     if args.null_policy:
         schema = Schema(schema.attributes, _POLICY_FLAG[args.null_policy])
-    rel = load_csv(args.input, schema, has_header=not args.no_header)
+    rel = load_csv(args.input, schema, has_header=not args.no_header, raw=args.oracle)
     fingerprint = {
         "path": args.input,
         "rows": rel.row_count,

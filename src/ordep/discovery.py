@@ -85,10 +85,23 @@ mask is thus the agree mask of a real split or swap of two distinct
 rows, exactly what a failed scan leaves behind, so the argument above
 holds unchanged: answers, emission order, `levels_processed`,
 `exhausted` and every statistic are those of an unseeded run, and only
-`partitions_built` and the work done differ.  The seeding costs two
-sorts of the N distinct rows, O(N log N * n), and a mask pair for each
-of the 3(N - 1) sampled pairs, O(N * n).  Each of the n(n + 1)/2 lists
-then filters the patterns at C level until it holds n masks, so no list
+`partitions_built` and the work done differ.
+
+The sample works on packed rows.  Each distinct row becomes one int of
+n fields, each as wide as the largest rank plus a guard bit, column 0
+in the most significant field (and, for the reversed order, in the
+least), so integer order is lexicographic order and the two sorts
+compare ints.  For a sampled pair (s, t), with H the guard bits and L
+the lowest bit of every field, ((s ^ t | H) - L) & H holds the guards
+of the fields where the rows differ and ((t | H) - s) & H those where t
+is at least s: a field's guard absorbs its own borrow, so none crosses
+into the next field.  Both are C-level maps over the sample, and only
+the distinct masks are spelled in binary and read back, one character
+per field, as attribute bits.  The seeding thus costs n maps over the
+N distinct rows per key, two sorts of N ints, seven int operations on
+(n * width)-bit ints for each of the 3(N - 1) sampled pairs, and one
+conversion per distinct mask.  Each of the n(n + 1)/2 lists then
+filters the patterns at C level until it holds n masks, so no list
 grows beyond n and every later refutation test scans at most n seeded
 masks plus those learned during the walk.
 
@@ -118,8 +131,8 @@ either.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, compress, groupby, islice, pairwise, repeat
-from operator import and_, eq, lt, mul
+from itertools import combinations, compress, groupby, repeat
+from operator import add, and_, lshift, mul, or_, sub, xor
 
 from .odmodel import ConstantOD, OrderCompatOD
 from .partitions import (
@@ -419,34 +432,14 @@ def _run(rel, max_level, prune: bool) -> DiscoveryResult:
 
 
 def _seed(cols):
-    """Refutation lists (splits, swaps) from a sample of pairs of
-    distinct rows: the first row with every other, and the neighbours in
-    lexicographic order over the columns and over the columns reversed.
-    Each list takes the agree masks of the pairs that witness it, most
-    agreeing attributes first, and keeps at most one maximal mask per
-    attribute."""
+    """Refutation lists (splits, swaps) from the sampled `_patterns`.
+    Each list takes the agree masks of the patterns that witness it,
+    most agreeing attributes first, and keeps at most one maximal mask
+    per attribute."""
     n_attrs = len(cols)
     splits = [[] for _ in range(n_attrs)]
     swaps = [[[] for _ in range(n_attrs)] for _ in range(n_attrs)]
-    rows = list(zip(*cols))
-    if len(rows) < 2:
-        return splits, swaps
-    bits = [1 << a for a in range(n_attrs)]
-    lex = sorted(rows)
-    rev = sorted(zip(*cols[::-1]))
-    samples = (
-        (zip(repeat(rows[0]), islice(rows, 1, None)), bits),
-        (pairwise(lex), bits),
-        (pairwise(rev), bits[::-1]),
-    )
-    # Each distinct (agree mask, mask of the attributes on which the
-    # second row is greater) once.
-    patterns = set()
-    for pairs, order in samples:
-        patterns.update(
-            (sum(compress(order, map(eq, s, t))), sum(compress(order, map(lt, s, t)))) for s, t in pairs
-        )
-    patterns = sorted(patterns, key=lambda p: (-p[0].bit_count(), p))
+    patterns = sorted(_patterns(cols), key=lambda p: (-p[0].bit_count(), p))
     full = (1 << n_attrs) - 1
     agree = [m for m, _ in patterns]
     differ = [full ^ m for m in agree]
@@ -461,6 +454,55 @@ def _seed(cols):
         opposite = map(mul, map(and_, above, repeat(ab)), map(and_, below, repeat(ab)))
         swaps[a][b] = _maximal(compress(agree, opposite), n_attrs)
     return splits, swaps
+
+
+def _patterns(cols) -> set:
+    """Each distinct (agree mask, mask of the attributes on which the
+    second row is greater) of a sample of pairs of distinct rows: the
+    first row with every other, and the neighbours in lexicographic
+    order over the columns and over the columns reversed."""
+    n_attrs = len(cols)
+    if not cols or len(cols[0]) < 2:
+        return set()
+    # Every row is one int of n fields, one per column, each as wide as
+    # the largest rank plus a guard bit that is 0 in a key.  Column 0 is
+    # the most significant field of `fwd` and the least of `rev`.
+    width = max(map(max, cols)).bit_length() + 1
+    fwd = _packed(cols, width)
+    lex = sorted(fwd)
+    rev = sorted(_packed(cols[::-1], width))
+    guards = int(("1" + "0" * (width - 1)) * n_attrs, 2)
+    lows = guards >> (width - 1)
+
+    def guard_masks(s, t):
+        # Per field, the guard survives (x | guard) - 1 iff x != 0, and
+        # (t | guard) - s iff t >= s; no borrow crosses a field.
+        differ = map(and_, map(sub, map(or_, map(xor, s, t), repeat(guards)), repeat(lows)), repeat(guards))
+        at_least = map(and_, map(sub, map(or_, t, repeat(guards)), s), repeat(guards))
+        return set(zip(differ, at_least))
+
+    # In the binary spelling of a guard mask, attribute a's guard is
+    # character a * width of a `fwd` mask and (n - 1 - a) * width of a
+    # `rev` one.  Each distinct mask is spelled once.
+    spelling = f"0{n_attrs * width}b"
+    full = (1 << n_attrs) - 1
+    forward = guard_masks([fwd[0]] * (len(fwd) - 1), fwd[1:]) | guard_masks(lex, lex[1:])
+    reverse = guard_masks(rev, rev[1:])
+    patterns = set()
+    for masks, first, step in ((forward, (n_attrs - 1) * width, -width), (reverse, 0, width)):
+        attrs = {m: int(format(m, spelling)[first::step], 2) for d, g in masks for m in (d, d & g)}
+        patterns.update((full ^ attrs[d], attrs[d & g]) for d, g in masks)
+    return patterns
+
+
+def _packed(cols, width):
+    """Each row of `cols` (non-negative ranks below 2**width) as one
+    int, `width` bits per column, the first column most significant:
+    integer order is lexicographic order."""
+    keys = cols[0]
+    for col in cols[1:]:
+        keys = list(map(add, map(lshift, keys, repeat(width)), col))
+    return keys
 
 
 def _maximal(candidates, cap) -> list:

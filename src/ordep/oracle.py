@@ -32,6 +32,12 @@ class OracleConfig(namedtuple("OracleConfig", "max_level check_budget")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+def _require_raw(rel) -> None:
+    """Fail loudly on a relation loaded without raw values."""
+    if len(rel.raw_columns) != rel.attr_count:
+        raise ValueError("the oracle reads raw values: load the relation with raw=True")
+
+
 def _value_key(rel):
     """Comparator key making nulls orderable per the relation's policy."""
     if rel.schema.null_policy == "nulls_last":
@@ -50,6 +56,7 @@ def _context_groups(rel, context):
 
 def brute_validate_canonical(rel, od) -> bool:
     """Pairwise check of a canonical dependency on raw values."""
+    _require_raw(rel)
     key = _value_key(rel)
     if isinstance(od, ConstantOD):
         col = rel.raw_column(od.attr)
@@ -75,6 +82,7 @@ def brute_validate_canonical(rel, od) -> bool:
 def lex_leq(rel, s: int, t: int, spec) -> bool:
     """Row s precedes-or-ties row t under the lexicographic spec,
     compared on raw values."""
+    _require_raw(rel)
     key = _value_key(rel)
     for a in spec:
         col = rel.raw_column(a)
@@ -88,6 +96,7 @@ def lex_leq(rel, s: int, t: int, spec) -> bool:
 
 def brute_validate_list(rel, od: ListOD) -> bool:
     """Pairwise check of a list dependency on raw values."""
+    _require_raw(rel)
     key = _value_key(rel)
     lhs = [rel.attr_index(a) for a in od.lhs]
     rhs = [rel.attr_index(a) for a in od.rhs]
@@ -143,6 +152,7 @@ def brute_discover(rel, config: OracleConfig = OracleConfig()) -> tuple:
     candidate plus its pair likewise.  Validity and minimality both go
     through the raw-value validator.
     """
+    _require_raw(rel)
     n_attrs = rel.attr_count
     cap = n_attrs if config.max_level is None else min(config.max_level, n_attrs)
     attrs = range(n_attrs)

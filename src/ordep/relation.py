@@ -186,7 +186,8 @@ class Relation(namedtuple("Relation", "schema row_count columns raw_columns", de
 
     columns[i][t] is the rank of row t under attribute i; raw_columns
     keeps the parsed values so reference checks can bypass the encoding
-    entirely.  The repr leaves raw_columns out.
+    entirely, and is () on a relation loaded without them.  The repr
+    leaves raw_columns out.
     """
 
     __slots__ = ()
@@ -260,7 +261,7 @@ def _read_records(path):
     return records, None
 
 
-def load_csv(path, schema: Schema, has_header: bool = True) -> Relation:
+def load_csv(path, schema: Schema, has_header: bool = True, raw: bool = True) -> Relation:
     """Load an RFC-4180 CSV file under a declared schema.
 
     With a header, columns are matched to schema attributes by name (any
@@ -275,6 +276,12 @@ def load_csv(path, schema: Schema, has_header: bool = True) -> Relation:
     row wins (wrong width, unreadable record, or a cell that does not
     parse), then its first bad column in schema order; a null under the
     reject policy is reported only when nothing else is wrong.
+
+    With raw=False the relation carries rank columns only
+    (`raw_columns == ()`): the cell -> value map is skipped, and with it
+    one reference per cell held for as long as the relation lives.  Only
+    the brute-force oracle reads raw values, so the CLI loads them only
+    under --oracle.  Errors and everything else are the same either way.
     """
     names = schema.names
     records, stop = _read_records(path)
@@ -330,7 +337,9 @@ def load_csv(path, schema: Schema, has_header: bool = True) -> Relation:
             raise ParseError(f"encoding failed: {exc}") from exc
         rank_of = dict(zip(parsed, ranks))
         columns.append(tuple(map(rank_of.__getitem__, col)))
-    raw_columns = tuple(tuple(map(parsed.__getitem__, col)) for col, parsed in zip(texts, values))
+    raw_columns = ()
+    if raw:
+        raw_columns = tuple(tuple(map(parsed.__getitem__, col)) for col, parsed in zip(texts, values))
     return Relation(schema, len(texts[0]) if texts else 0, tuple(columns), raw_columns)
 
 

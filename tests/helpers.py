@@ -3,6 +3,8 @@
 import csv
 import random
 from datetime import date, timedelta
+from itertools import compress, islice, pairwise, repeat
+from operator import eq, lt
 
 from ordep import ParseError, Relation, Schema
 from ordep.relation import parse_value
@@ -53,6 +55,28 @@ def with_duplicates(rng: random.Random, rel: Relation) -> Relation:
     rows = [row for row in zip(*rel.raw_columns) for _ in range(rng.randint(1, 3))]
     rng.shuffle(rows)
     return Relation.from_rows(rel.schema, rows)
+
+
+def seed_patterns_reference(cols) -> set:
+    """Reference for `discovery._patterns`, comparing row tuples element
+    by element: each distinct (agree mask, mask of the attributes on
+    which the second row is greater) of the first row paired with every
+    other and of the neighbours in lexicographic order over the columns
+    and over the columns reversed."""
+    rows = list(zip(*cols))
+    if len(rows) < 2:
+        return set()
+    bits = [1 << a for a in range(len(cols))]
+    samples = (
+        (zip(repeat(rows[0]), islice(rows, 1, None)), bits),
+        (pairwise(sorted(rows)), bits),
+        (pairwise(sorted(zip(*cols[::-1]))), bits[::-1]),
+    )
+    return {
+        (sum(compress(order, map(eq, s, t))), sum(compress(order, map(lt, s, t))))
+        for pairs, order in samples
+        for s, t in pairs
+    }
 
 
 def random_int_relation(

@@ -109,6 +109,22 @@ def test_discover_reports_partitions_built_on_stderr(capsys, taxes, taxes_csv, t
     assert "partitions built" not in err
 
 
+def test_only_oracle_runs_load_raw_values(capsys, monkeypatch, taxes_csv, taxes_schema_file):
+    seen = []
+
+    def recording_load_csv(*args, **kwargs):
+        seen.append(kwargs["raw"])
+        return load_csv(*args, **kwargs)
+
+    load_csv = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", recording_load_csv)
+    base = ["--input", taxes_csv, "--schema", taxes_schema_file]
+    for argv in (["discover", *base, "--max-level", "2"], ["validate", "{year}: bin ~ salary", *base]):
+        for extra in ([], ["--oracle"]):
+            assert run(capsys, *argv, *extra)[0] == 0
+    assert seen == [False, True, False, True]
+
+
 def test_validate_list_od_valid(capsys, taxes_csv, taxes_schema_file):
     code, out, _ = run(
         capsys,

@@ -20,7 +20,7 @@ from ordep import (
     validate_canonical,
 )
 
-from helpers import random_relation, with_duplicates
+from helpers import random_relation, seed_patterns_reference, with_duplicates
 
 
 def int_relation(*cols):
@@ -359,6 +359,34 @@ def test_seeding_from_sampled_pairs_changes_no_result(monkeypatch):
     assert runs >= 1_000
     assert by_seed > 1_000
     assert built < built_unseeded
+
+
+def test_packed_patterns_equal_the_tuple_reference():
+    # The sample is taken on rows packed into ints; the patterns must be
+    # those of comparing the row tuples element by element.  Rank
+    # columns up to 10**6 make the fields 21 bits wide.
+    rng = random.Random(113)
+    cases = [(), ((),), ((), ()), ((5,),), ((0, 0), (1, 1)), ((3, 1), (0, 2), (10**6, 0))]
+    policies = set()
+    for i in range(320):
+        if i % 4 == 3:
+            n, rows = rng.randint(1, 6), rng.randint(0, 40)
+            pools = [rng.sample(range(10**6 + 1), rng.randint(1, 4)) + [10**6] for _ in range(n)]
+            cases.append(tuple(tuple(rng.choice(pool) for _ in range(rows)) for pool in pools))
+            continue
+        rel = random_relation(rng, max_attrs=2 + i % 6, max_rows=1 + i % 30, with_nulls=i % 4 != 0)
+        policies.add(rel.schema.null_policy)
+        if i % 2:
+            rel = with_duplicates(rng, rel)
+            cases.append(rel.columns)
+        cases.append(discovery._distinct_rows(rel).columns)
+    wide = 0
+    for cols in cases:
+        assert discovery._patterns(cols) == seed_patterns_reference(cols), cols
+        wide += any(max(col, default=0).bit_length() >= 20 for col in cols)
+    assert len(cases) > 300
+    assert wide > 70
+    assert policies == {"nulls_first", "nulls_last"}
 
 
 def test_seeded_masks_come_from_witness_pairs_and_are_capped(monkeypatch):

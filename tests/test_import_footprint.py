@@ -1,10 +1,12 @@
 """What importing the package loads.
 
 `import ordep.cli` must not load `dataclasses` (which pulls in
-`inspect`, `ast`, `dis` and `tokenize`) nor the brute-force reference
-`ordep.oracle`, whose names the package serves on first use.  Each check
-runs in a fresh, isolated interpreter (`-I`), so neither modules this
-test run already loaded nor the environment can hide an import.
+`inspect`, `ast`, `dis` and `tokenize`), `hashlib` (which loads
+OpenSSL's binding, for one fingerprint per call), nor the brute-force
+reference `ordep.oracle`, whose names the package serves on first use.
+Each check runs in a fresh, isolated interpreter (`-I`), so neither
+modules this test run already loaded nor the environment can hide an
+import.
 """
 
 import os
@@ -27,7 +29,9 @@ def run_isolated(code: str) -> str:
 
 
 def test_cli_import_leaves_dataclasses_and_oracle_out():
-    out = run_isolated("import ordep.cli; print(sorted({'dataclasses', 'ordep.oracle'} & set(sys.modules)))")
+    out = run_isolated(
+        "import ordep.cli; print(sorted({'dataclasses', 'hashlib', 'ordep.oracle'} & set(sys.modules)))"
+    )
     assert out.strip() == "[]"
 
 

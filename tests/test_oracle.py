@@ -18,6 +18,7 @@ from ordep import (
     discover,
     find_splits,
     lex_leq,
+    load_csv,
     satisfies_list_od,
     validate_canonical,
     violations,
@@ -50,6 +51,22 @@ def test_lex_leq_orders_nulls_by_policy():
     last = Relation.from_columns(Schema((("a", "integer"),), "nulls_last"), [[None, 1]])
     assert lex_leq(first, 0, 1, ["a"]) and not lex_leq(first, 1, 0, ["a"])
     assert lex_leq(last, 1, 0, ["a"]) and not lex_leq(last, 0, 1, ["a"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rel: brute_validate_canonical(rel, OrderCompatOD(frozenset({"year"}), "bin", "salary")),
+        lambda rel: brute_validate_list(rel, ListOD(("year",), ("bin",))),
+        lambda rel: lex_leq(rel, 0, 1, ["year", "bin"]),
+        lambda rel: brute_discover(rel, OracleConfig(max_level=2)),
+    ],
+    ids=["brute_validate_canonical", "brute_validate_list", "lex_leq", "brute_discover"],
+)
+def test_oracle_without_raw_values_says_so(call, taxes_csv, taxes_schema):
+    call(load_csv(taxes_csv, taxes_schema, raw=True))
+    with pytest.raises(ValueError, match="load the relation with raw=True"):
+        call(load_csv(taxes_csv, taxes_schema, raw=False))
 
 
 def test_brute_validate_canonical_taxes(taxes):
