@@ -419,10 +419,15 @@ def _cmd_infer(args) -> int:
     return 1 if at_caps else 3
 
 
+_parser = None  # built by the first `main` call, so importing builds none
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes.
         return 2 if exc.code else 0

@@ -21,12 +21,44 @@ The chainer is bounded, not a decision procedure: conclusions are kept
 only while their context fits max_context_size, and chain instances use
 at most max_chain_length intermediate attributes.  Within a universe of
 attributes the bounded closure is finite, so iteration terminates.
+
+Constant targets at full context cap.  Read `X: [] |-> A` as the
+functional dependency X -> A, and let X+ be the attribute closure of X
+over the constant premises (Beeri & Bernstein, TODS 1979).
+
+  Theorem.  If max_context_size >= |U| for the universe U and the
+  target's attributes lie in U, the chaser derives `X: [] |-> A`
+  exactly when A is in X+.
+
+  Proof.  Only reflexivity, strengthen and augmentation-c conclude a
+  constant, and none of them reads an order compatibility, so the
+  constant premises alone decide which constants are reached.
+  Strengthen is FD transitivity and augmentation-c is FD augmentation,
+  both sound, so every derived X: [] |-> A has A in X+.  Conversely,
+  let C1, C2, ..., Ck be the order in which the closure adds the
+  attributes of X+ outside X: each Cj has a premise Yj: [] |-> Cj with
+  Yj inside X C1..C(j-1).  Augmentation-c (or the premise itself) gives
+  X C1..C(j-1): [] |-> Cj, a context of at most |X+| - 1 <= |U| - 1
+  attributes.  Then strengthen, from X C1..C(i-1): [] |-> Ci and
+  X C1..Ci: [] |-> Cj, gives X C1..C(i-1): [] |-> Cj; so
+  X C1..Ci: [] |-> Cj is derived from i = j - 1 down to i = 0, which is
+  X: [] |-> Cj.  No step builds a context larger than |X+| - 1.
+
+`derives` answers such targets from X+ without chasing, and answers an
+order compatibility X: A ~ B with A or B in X+ as derivable (propagate
+from X: [] |-> A).  Every other answer, and every path that
+`derive_with_trace` returns, still comes from the chaser.  Below the
+cap the proof's contexts, which grow to |X+| - 1 attributes, may not
+fit, so the chaser answers there; and augmentation ranges over the
+universe only, so a target that mentions an attribute outside it is
+left to the chaser as well.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, permutations
+from operator import attrgetter
 
 from .odmodel import ConstantOD, OrderCompatOD, is_trivial, od_attrs, validate_canonical
 
@@ -147,11 +179,13 @@ def _consequences(consts, ocs, univ, lim: DerivationLimit):
             for extra in combinations(rest, r):
                 yield ConstantOD(X | frozenset(extra), A), "augmentation-c", (od,)
         # strengthen: X: [] |-> A and XA: [] |-> B give X: [] |-> B.
+        # Every partner shares the context XA, so ordering them by
+        # attribute is their `_od_key` order.
         if len(X) <= max_ctx:
             xa = X | {A}
-            for other in sorted(consts, key=_od_key):
-                if other.context == xa and other.attr not in X:
-                    yield ConstantOD(X, other.attr), "strengthen", (od, other)
+            partners = [c for c in consts if c.context == xa and c.attr not in X]
+            for other in sorted(partners, key=attrgetter("attr")):
+                yield ConstantOD(X, other.attr), "strengthen", (od, other)
     # Compatibility-premise rules.
     for od in sorted(ocs, key=_od_key):
         X = od.context
@@ -233,6 +267,35 @@ def closure(s: ODSet, lim: DerivationLimit) -> ODSet:
     return ODSet(s.universe, consts | ocs)
 
 
+def _attribute_closure(constants, attrs) -> set:
+    """X+ for X = attrs: the attributes that the constant dependencies
+    `constants` determine from attrs, each read as an FD."""
+    closed = set(attrs)
+    changed = True
+    while changed:
+        changed = False
+        for od in constants:
+            if od.attr not in closed and od.context <= closed:
+                closed.add(od.attr)
+                changed = True
+    return closed
+
+
+def _decided_by_closure(s: ODSet, target, lim: DerivationLimit):
+    """The chaser's answer for target when the attribute closure of its
+    context settles it, else None: only at full context cap and for a
+    target inside the universe, where the theorem above holds."""
+    if lim.max_context_size < len(s.universe) or not isinstance(target, (ConstantOD, OrderCompatOD)):
+        return None
+    if not s.universe.issuperset(od_attrs(target)):
+        return None
+    closed = _attribute_closure(s.constants, target.context)
+    if isinstance(target, ConstantOD):
+        return target.attr in closed
+    # propagate from X: [] |-> a (or b) concludes X: a ~ b.
+    return True if target.a in closed or target.b in closed else None
+
+
 def derives(s: ODSet, target, lim: DerivationLimit) -> bool:
     """Whether the premises derive the target within the limits.
 
@@ -240,6 +303,9 @@ def derives(s: ODSet, target, lim: DerivationLimit) -> bool:
     holds_constant / holds_oc for those, since trivial dependency
     objects cannot be built.
     """
+    known = _decided_by_closure(s, target, lim)
+    if known is not None:
+        return known
     consts, ocs, _ = _chase(s, lim, target=target)
     return target in consts or target in ocs
 
@@ -248,8 +314,12 @@ def derive_with_trace(s: ODSet, target, lim: DerivationLimit):
     """One derivation path for the target, or None.
 
     Returns a list of (od, rule, premises) in dependency order; input
-    premises appear with rule "premise" and no antecedents.
+    premises appear with rule "premise" and no antecedents.  Every path
+    comes from the chaser; the attribute closure only answers "no"
+    early for constant targets.
     """
+    if _decided_by_closure(s, target, lim) is False:
+        return None
     consts, ocs, prov = _chase(s, lim, target=target, want_trace=True)
     if target not in consts and target not in ocs:
         return None

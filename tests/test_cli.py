@@ -7,6 +7,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 from helpers import random_relation
 from ordep import ConstantOD, ListOD, OrderCompatOD, cli, discover, discover_unpruned, violations
@@ -424,6 +425,39 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "discover" in out
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path, taxes_csv, taxes_schema_file):
+    # `main` builds its parser once per process; every call through it
+    # must print and exit exactly as through a parser of its own.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    premises = write_premises(
+        tmp_path, {"universe": ["A", "B", "C"], "ods": ["{}: [] |-> A", "{A}: [] |-> B"]}
+    )
+    data = ["--input", taxes_csv, "--schema", taxes_schema_file]
+    calls = [
+        ["discover", *data],
+        ["validate", "{position}: [] |-> salary", *data, "--witnesses", "--format", "json"],
+        ["map", "[A,B] -> [C,D]"],
+        ["infer", "{}: [] |-> B", "--premises", premises, "--trace"],
+        ["discover", *data, "--max-level", "0"],
+        ["--help"],
+        ["infer", "{}: B ~ C", "--premises", premises, "--format", "json", "--max-context", "0"],
+        ["validate", "[salary] -> [tax,percentage]", *data],
+    ]
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [run(capsys, *argv) for argv in calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert len(built) == 1 + len(calls)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 2, 0, 0, 0]
 
 
 def test_report_json_matches_indented_json_dumps():

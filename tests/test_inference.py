@@ -24,8 +24,10 @@ from ordep import (
     is_minimal_oc,
     validate_canonical,
 )
+from ordep import inference
+from ordep.oracle import brute_discover, brute_validate_canonical
 
-from helpers import random_int_relation
+from helpers import random_int_relation, random_relation
 
 RULES = {"premise", "strengthen", "propagate", "augmentation-c", "augmentation-oc", "chain"}
 
@@ -238,6 +240,24 @@ def test_closure_of_discovered_set_is_complete_on_data():
                         assert od in out
 
 
+def test_constant_targets_derive_from_discovered_set_exactly_when_valid():
+    # At full caps a constant target is decided by the attribute closure
+    # of its context; over the oracle's minimal set that must be exactly
+    # the constant dependencies the data satisfies, nulls included.
+    rng = random.Random(43)
+    for _ in range(150):
+        rel = random_relation(rng, max_attrs=5, max_rows=12, max_domain=3, with_nulls=True)
+        n = rel.attr_count
+        m = ODSet(range(n), brute_discover(rel))
+        lim = DerivationLimit(n, max(0, n - 2))
+        for size in range(n):
+            for ctx in combinations(range(n), size):
+                for a in range(n):
+                    if a not in ctx:
+                        od = const(ctx, a)
+                        assert derives(m, od, lim) == brute_validate_canonical(rel, od), od
+
+
 def test_is_minimal_constant_taxes(taxes):
     assert is_minimal_constant(taxes, frozenset({"position"}), "bin")
     assert not is_minimal_constant(taxes, frozenset({"position", "year"}), "bin")
@@ -364,3 +384,55 @@ def test_applying_axioms_once_to_a_fixpoint_is_the_closure():
                 break
             step = nxt
         assert step == closure(s, lim)
+
+
+def closure_targets(rng, s):
+    """Constant and compatibility targets over s.universe, half of each
+    kind taken from the attribute closure of its context, a premise
+    compatibility augmented by one attribute, and library targets that
+    mention an attribute outside the universe."""
+    univ = sorted(s.universe)
+    targets = []
+    if s.ocs:
+        p = rng.choice(sorted(s.ocs, key=format_od))
+        extra = [u for u in univ if u not in p.context and u not in (p.a, p.b)]
+        targets.append(oc(p.context.union(rng.sample(extra, min(1, len(extra)))), p.a, p.b))
+    for _ in range(2):
+        ctx = frozenset(rng.sample(univ, rng.randint(0, len(univ) - 2)))
+        rest = [u for u in univ if u not in ctx]
+        closed = sorted(inference._attribute_closure(s.constants, ctx) - ctx)
+        targets.append(const(ctx, rng.choice(closed or rest)))
+        targets.append(const(ctx, rng.choice(rest)))
+        a = rng.choice(closed or rest)
+        targets.append(oc(ctx, a, rng.choice([r for r in rest if r != a])))
+        targets.append(oc(ctx, *rng.sample(rest, 2)))
+        targets.append(const(ctx | {"Z"}, rng.choice(closed or rest)))
+    targets.append(const((), "Z"))
+    targets.append(oc((), univ[0], "Z"))
+    return targets
+
+
+def test_attribute_closure_answers_equal_the_chaser(monkeypatch):
+    # derives and derive_with_trace consult the attribute closure first;
+    # with that step off, every answer and path comes from the chaser.
+    def answers():
+        for s, lim, targets in cases:
+            for target in targets:
+                path = derive_with_trace(s, target, lim)
+                steps = [(format_od(od), rule, [format_od(p) for p in ps]) for od, rule, ps in path or ()]
+                yield derives(s, target, lim), path is not None, steps
+
+    rng = random.Random(91)
+    cases = []
+    for i in range(18):
+        n = 2 + i % 6
+        univ = "ABCDEFG"[:n]
+        s = ODSet(univ, random_premises(rng, univ, 2 + i % 4))
+        for lim in (
+            DerivationLimit(n + i % 2, rng.randint(0, 3)),
+            DerivationLimit(rng.randint(0, n - 1), rng.randint(0, 3)),
+        ):
+            cases.append((s, lim, closure_targets(rng, s)))
+    with_closure = list(answers())
+    monkeypatch.setattr(inference, "_decided_by_closure", lambda s, target, lim: None)
+    assert with_closure == list(answers())
