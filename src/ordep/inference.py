@@ -46,8 +46,8 @@ over the constant premises (Beeri & Bernstein, TODS 1979).
 
 `derives` answers such targets from X+ without chasing, and answers an
 order compatibility X: A ~ B with A or B in X+ as derivable (propagate
-from X: [] |-> A).  Every other answer, and every path that
-`derive_with_trace` returns, still comes from the chaser.  Below the
+from X: [] |-> A).  Every other answer, and all of
+`derive_with_trace`, still comes from the chaser.  Below the
 cap the proof's contexts, which grow to |X+| - 1 attributes, may not
 fit, so the chaser answers there; and augmentation ranges over the
 universe only, so a target that mentions an attribute outside it is
@@ -314,12 +314,8 @@ def derive_with_trace(s: ODSet, target, lim: DerivationLimit):
     """One derivation path for the target, or None.
 
     Returns a list of (od, rule, premises) in dependency order; input
-    premises appear with rule "premise" and no antecedents.  Every path
-    comes from the chaser; the attribute closure only answers "no"
-    early for constant targets.
+    premises appear with rule "premise" and no antecedents.
     """
-    if _decided_by_closure(s, target, lim) is False:
-        return None
     consts, ocs, prov = _chase(s, lim, target=target, want_trace=True)
     if target not in consts and target not in ocs:
         return None

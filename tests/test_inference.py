@@ -413,8 +413,9 @@ def closure_targets(rng, s):
 
 
 def test_attribute_closure_answers_equal_the_chaser(monkeypatch):
-    # derives and derive_with_trace consult the attribute closure first;
-    # with that step off, every answer and path comes from the chaser.
+    # derives consults the attribute closure first; with that step off,
+    # every answer comes from the chaser.  Paths are compared as well, so
+    # derive_with_trace must stay the chaser's.
     def answers():
         for s, lim, targets in cases:
             for target in targets:
